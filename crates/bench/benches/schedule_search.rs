@@ -12,8 +12,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qss_bench::experiments::divider_net;
-use qss_core::{reference, ScheduleOptions, SearchContext, TerminationKind};
+use qss_core::{
+    reference, Result, Schedule, ScheduleOptions, SearchBudget, SearchContext, SearchProfile,
+    SearchStats, TerminationKind,
+};
+use qss_petri::{PetriNet, TransitionId};
 use qss_sim::{pfc_system, PfcParams};
+
+/// One unbudgeted search for `source` on `context`.
+fn search(
+    context: &SearchContext,
+    net: &PetriNet,
+    source: TransitionId,
+    options: &ScheduleOptions,
+) -> Result<(Schedule, SearchStats)> {
+    let budget = SearchBudget::unlimited();
+    context.find_schedule_profiled(net, source, options, &budget, &mut SearchProfile::default())
+}
 
 fn bench_schedule_search(c: &mut Criterion) {
     let system = pfc_system(&PfcParams::tiny()).expect("PFC links");
@@ -24,9 +39,13 @@ fn bench_schedule_search(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("pfc_with_heuristics", |b| {
         b.iter(|| {
-            pfc_context
-                .find_schedule(&system.net, source, &ScheduleOptions::default())
-                .unwrap()
+            search(
+                &pfc_context,
+                &system.net,
+                source,
+                &ScheduleOptions::default(),
+            )
+            .unwrap()
         })
     });
     group.bench_function("pfc_with_heuristics_reference", |b| {
@@ -41,17 +60,13 @@ fn bench_schedule_search(c: &mut Criterion) {
             max_nodes: 50_000,
             ..ScheduleOptions::default().without_heuristics()
         };
-        b.iter(|| pfc_context.find_schedule(&system.net, source, &opts).ok())
+        b.iter(|| search(&pfc_context, &system.net, source, &opts).ok())
     });
     for k in [4u32, 8, 12] {
         let (net, src) = divider_net(k);
         let context = SearchContext::new(&net);
         group.bench_with_input(BenchmarkId::new("divider_irrelevance", k), &k, |b, _| {
-            b.iter(|| {
-                context
-                    .find_schedule(&net, src, &ScheduleOptions::default())
-                    .unwrap()
-            })
+            b.iter(|| search(&context, &net, src, &ScheduleOptions::default()).unwrap())
         });
         group.bench_with_input(
             BenchmarkId::new("divider_irrelevance_reference", k),
@@ -65,7 +80,7 @@ fn bench_schedule_search(c: &mut Criterion) {
                 termination: TerminationKind::PlaceBounds { default: 2 * k },
                 ..Default::default()
             };
-            b.iter(|| context.find_schedule(&net, src, &opts).unwrap())
+            b.iter(|| search(&context, &net, src, &opts).unwrap())
         });
     }
     group.finish();

@@ -25,13 +25,16 @@
 
 use proptest::{Strategy, TestRng};
 use qss_bench::experiments::divider_net;
-use qss_bench::testgen::{build_random, hub_net_strategy, random_net_strategy, wide_net_strategy};
-use qss_core::{reference, ScheduleOptions, SearchBudget, SearchContext, TerminationKind};
+use qss_bench::testgen::{build_random, hub_net_strategy};
+use qss_core::{
+    reference, Schedule, ScheduleOptions, SearchBudget, SearchContext, SearchProfile,
+    TerminationKind,
+};
 use qss_obs::{Observer, SpanId};
 use qss_petri::{
     p_invariant_basis, p_invariant_basis_dense, structural_report, structural_report_dense,
-    t_invariant_basis, t_invariant_basis_dense, EcsInfo, FxHashMap, KernelScratch, Marking,
-    MarkingStore, NetKernels, StructuralLimits,
+    t_invariant_basis, t_invariant_basis_dense, EcsInfo, FxHashMap, Marking, MarkingStore,
+    PetriNet, StructuralLimits, TransitionId,
 };
 use qss_sim::{pfc_system, PfcParams};
 use std::fmt::Write as _;
@@ -43,13 +46,26 @@ use std::time::{Duration, Instant};
 /// One measured case: the incremental engine against the oracle.
 struct CaseResult {
     name: String,
-    /// For `kernel/*` cases, which enabledness engines the two columns
-    /// ran (layout and cell width of the chunked side); `None` elsewhere.
-    kernel: Option<String>,
     best_ms: f64,
     median_ms: f64,
     reference_best_ms: f64,
     reference_median_ms: f64,
+}
+
+/// One search for `source` on `context` under `budget`: the production
+/// call every `schedule_search/*` case times.
+fn search(
+    context: &SearchContext,
+    net: &PetriNet,
+    source: TransitionId,
+    options: &ScheduleOptions,
+    budget: &SearchBudget,
+) -> Schedule {
+    let mut profile = SearchProfile::default();
+    context
+        .find_schedule_profiled(net, source, options, budget, &mut profile)
+        .expect("benchmark nets are schedulable")
+        .0
 }
 
 /// `(best, median)` wall-clock milliseconds of `f` over `samples` timed
@@ -157,25 +173,17 @@ fn main() {
         (3, 25)
     };
     let mut cases: Vec<CaseResult> = Vec::new();
-    let mut push_case_annotated =
-        |name: String,
-         kernel: Option<String>,
-         mut f: Box<dyn FnMut()>,
-         mut reference: Box<dyn FnMut()>| {
-            let (best_ms, median_ms) = best_and_median_ms(warmup, samples, &mut f);
-            let (reference_best_ms, reference_median_ms) =
-                best_and_median_ms(warmup, samples, &mut reference);
-            cases.push(CaseResult {
-                name,
-                kernel,
-                best_ms,
-                median_ms,
-                reference_best_ms,
-                reference_median_ms,
-            });
-        };
-    let mut push_case = |name: String, f: Box<dyn FnMut()>, reference: Box<dyn FnMut()>| {
-        push_case_annotated(name, None, f, reference);
+    let mut push_case = |name: String, mut f: Box<dyn FnMut()>, mut reference: Box<dyn FnMut()>| {
+        let (best_ms, median_ms) = best_and_median_ms(warmup, samples, &mut f);
+        let (reference_best_ms, reference_median_ms) =
+            best_and_median_ms(warmup, samples, &mut reference);
+        cases.push(CaseResult {
+            name,
+            best_ms,
+            median_ms,
+            reference_best_ms,
+            reference_median_ms,
+        });
     };
 
     for k in [4u32, 8, 12] {
@@ -186,7 +194,13 @@ fn main() {
         push_case(
             format!("schedule_search/divider_irrelevance/{k}"),
             Box::new(move || {
-                black_box(context.find_schedule(&net, source, &options).unwrap());
+                black_box(search(
+                    &context,
+                    &net,
+                    source,
+                    &options,
+                    &SearchBudget::unlimited(),
+                ));
             }),
             Box::new(move || {
                 black_box(reference::find_schedule(&rnet, source, &roptions).unwrap());
@@ -206,7 +220,13 @@ fn main() {
         push_case(
             format!("schedule_search/divider_place_bounds/{k}"),
             Box::new(move || {
-                black_box(context.find_schedule(&net, source, &options).unwrap());
+                black_box(search(
+                    &context,
+                    &net,
+                    source,
+                    &options,
+                    &SearchBudget::unlimited(),
+                ));
             }),
             Box::new(move || {
                 black_box(reference::find_schedule(&rnet, source, &roptions).unwrap());
@@ -226,11 +246,13 @@ fn main() {
         push_case(
             "schedule_search/pfc_with_heuristics".to_string(),
             Box::new(move || {
-                black_box(
-                    context
-                        .find_schedule(&system.net, source, &options)
-                        .unwrap(),
-                );
+                black_box(search(
+                    &context,
+                    &system.net,
+                    source,
+                    &options,
+                    &SearchBudget::unlimited(),
+                ));
             }),
             Box::new(move || {
                 black_box(reference::find_schedule(&rsystem.net, source, &roptions).unwrap());
@@ -303,14 +325,16 @@ fn main() {
         push_case(
             "schedule_search/budget_overhead/divider_irrelevance_12".to_string(),
             Box::new(move || {
-                black_box(
-                    context
-                        .find_schedule_with_stats_budgeted(&net, source, &options, &budget)
-                        .unwrap(),
-                );
+                black_box(search(&context, &net, source, &options, &budget));
             }),
             Box::new(move || {
-                black_box(pcontext.find_schedule(&pnet, source, &poptions).unwrap());
+                black_box(search(
+                    &pcontext,
+                    &pnet,
+                    source,
+                    &poptions,
+                    &SearchBudget::unlimited(),
+                ));
             }),
         );
 
@@ -323,18 +347,16 @@ fn main() {
         push_case(
             "schedule_search/budget_overhead/pfc_with_heuristics".to_string(),
             Box::new(move || {
-                black_box(
-                    context
-                        .find_schedule_with_stats_budgeted(&system.net, source, &options, &armed)
-                        .unwrap(),
-                );
+                black_box(search(&context, &system.net, source, &options, &armed));
             }),
             Box::new(move || {
-                black_box(
-                    pcontext
-                        .find_schedule(&psystem.net, source, &poptions)
-                        .unwrap(),
-                );
+                black_box(search(
+                    &pcontext,
+                    &psystem.net,
+                    source,
+                    &poptions,
+                    &SearchBudget::unlimited(),
+                ));
             }),
         );
     }
@@ -420,75 +442,9 @@ fn main() {
     }
 
     {
-        // The enabledness-kernel sweeps: the chunked need-row kernels
-        // (`NetKernels::enabled_set_at`, bit-packed whole-net enabledness
-        // in wide compares) against the scalar per-arc walk
-        // (`is_enabled_at` per transition) on the same deterministic nets
-        // and the same synthetic slab rows. One case per testgen profile:
-        // `dense` (tiny strides, dense u32 rows), `wide` (medium strides,
-        // still dense) and `hub` (hundreds of places — past the dense
-        // row cap, so the sparse CSR fallback). The iteration counts keep
-        // each sample in comfortably-timeable territory across profiles.
-        for (profile, strategy, iters) in [
-            ("dense", random_net_strategy(), 400usize),
-            ("wide", wide_net_strategy(), 100),
-            ("hub", hub_net_strategy(), 25),
-        ] {
-            let mut rng = TestRng::new(&format!("bench-kernel-{profile}"));
-            let desc = strategy.generate(&mut rng);
-            let (net, _source) = build_random(&desc);
-            let ecs = EcsInfo::compute(&net);
-            let kernels = NetKernels::compile(&net, &ecs, None);
-            let stride = net.num_places();
-            let kernel_note = format!(
-                "chunked {} {:?} vs scalar per-arc",
-                if kernels.is_dense() {
-                    "dense"
-                } else {
-                    "sparse"
-                },
-                kernels.cell(),
-            );
-            // 256 deterministic slab rows with small counts, the regime
-            // the search actually sweeps.
-            let rows: Vec<u32> = (0..256 * stride)
-                .map(|_| (rng.next_u64() % 4) as u32)
-                .collect();
-            let (scalar_net, scalar_rows) = (net.clone(), rows.clone());
-            let mut scratch = KernelScratch::default();
-            push_case_annotated(
-                format!("kernel/enabled_sweep_{profile}"),
-                Some(kernel_note),
-                Box::new(move || {
-                    let mut enabled = 0usize;
-                    for _ in 0..iters {
-                        for row in rows.chunks_exact(stride) {
-                            enabled += kernels.enabled_set_at(row, &mut scratch).count();
-                        }
-                    }
-                    black_box(enabled);
-                }),
-                Box::new(move || {
-                    let mut enabled = 0usize;
-                    for _ in 0..iters {
-                        for row in scalar_rows.chunks_exact(stride) {
-                            for t in scalar_net.transition_ids() {
-                                if scalar_net.is_enabled_at(t, row) {
-                                    enabled += 1;
-                                }
-                            }
-                        }
-                    }
-                    black_box(enabled);
-                }),
-            );
-        }
-    }
-
-    {
         // The observability tax, priced per request on three
         // representative workloads: the divider search, the PFC search
-        // and the hub enabledness sweep. Each iteration wraps the
+        // and the scalar ECS enabledness sweep over hub-net rows. Each iteration wraps the
         // workload in exactly the bookkeeping `qssd` pays per request —
         // one clock read, one span begin/end pair and one histogram
         // record — against the bare workload as the reference column.
@@ -501,7 +457,13 @@ fn main() {
             let context = SearchContext::new(&net);
             let options = ScheduleOptions::default();
             Box::new(move || {
-                black_box(context.find_schedule(&net, source, &options).unwrap());
+                black_box(search(
+                    &context,
+                    &net,
+                    source,
+                    &options,
+                    &SearchBudget::unlimited(),
+                ));
             })
         };
         let pfc_work = || -> Box<dyn FnMut()> {
@@ -510,11 +472,13 @@ fn main() {
             let context = SearchContext::new(&system.net);
             let options = ScheduleOptions::default();
             Box::new(move || {
-                black_box(
-                    context
-                        .find_schedule(&system.net, source, &options)
-                        .unwrap(),
-                );
+                black_box(search(
+                    &context,
+                    &system.net,
+                    source,
+                    &options,
+                    &SearchBudget::unlimited(),
+                ));
             })
         };
         let hub_work = || -> Box<dyn FnMut()> {
@@ -522,16 +486,16 @@ fn main() {
             let desc = hub_net_strategy().generate(&mut rng);
             let (net, _source) = build_random(&desc);
             let ecs = EcsInfo::compute(&net);
-            let kernels = NetKernels::compile(&net, &ecs, None);
             let stride = net.num_places();
             let rows: Vec<u32> = (0..256 * stride)
                 .map(|_| (rng.next_u64() % 4) as u32)
                 .collect();
-            let mut scratch = KernelScratch::default();
+            let mut enabled_ecs = Vec::new();
             Box::new(move || {
                 let mut enabled = 0usize;
                 for row in rows.chunks_exact(stride) {
-                    enabled += kernels.enabled_set_at(row, &mut scratch).count();
+                    ecs.enabled_ecs_into(&net, row, &mut enabled_ecs);
+                    enabled += enabled_ecs.len();
                 }
                 black_box(enabled);
             })
@@ -558,9 +522,8 @@ fn main() {
                     "off" => Observer::disabled(),
                     _ => Observer::armed(4096),
                 };
-                push_case_annotated(
+                push_case(
                     format!("obs/overhead_{mode}/{workload}"),
-                    None,
                     instrument(observer, factory()),
                     factory(),
                 );
@@ -577,16 +540,10 @@ fn main() {
     json.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let speedup = case.reference_best_ms / case.best_ms;
-        let kernel = case
-            .kernel
-            .as_ref()
-            .map(|k| format!("\"kernel\": \"{k}\", "))
-            .unwrap_or_default();
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", {}\"best_ms\": {:.4}, \"median_ms\": {:.4}, \"reference_best_ms\": {:.4}, \"reference_median_ms\": {:.4}, \"speedup_vs_reference\": {:.2}}}",
+            "    {{\"name\": \"{}\", \"best_ms\": {:.4}, \"median_ms\": {:.4}, \"reference_best_ms\": {:.4}, \"reference_median_ms\": {:.4}, \"speedup_vs_reference\": {:.2}}}",
             case.name,
-            kernel,
             case.best_ms,
             case.median_ms,
             case.reference_best_ms,

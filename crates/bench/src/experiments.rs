@@ -2,7 +2,8 @@
 
 use qss_codegen::{generate_task, CodeCostModel, GeneratedTask, TaskOptions};
 use qss_core::{
-    find_schedule_with_stats, schedule_system, ScheduleOptions, SystemSchedules, TerminationKind,
+    schedule_system, Schedule, ScheduleError, ScheduleOptions, SearchBudget, SearchContext,
+    SearchProfile, SearchStats, SystemSchedules, TerminationKind,
 };
 use qss_flowc::LinkedSystem;
 use qss_petri::{NetBuilder, PetriNet, TransitionId, TransitionKind};
@@ -25,6 +26,21 @@ pub struct PfcSetup {
     pub task: GeneratedTask,
 }
 
+/// One unbudgeted search for `source` on a fresh context.
+fn find_schedule_with_stats(
+    net: &PetriNet,
+    source: TransitionId,
+    options: &ScheduleOptions,
+) -> Result<(Schedule, SearchStats), ScheduleError> {
+    SearchContext::new(net).find_schedule_profiled(
+        net,
+        source,
+        options,
+        &SearchBudget::unlimited(),
+        &mut SearchProfile::default(),
+    )
+}
+
 /// Builds the PFC system, its schedule and the generated task.
 ///
 /// # Panics
@@ -32,8 +48,15 @@ pub struct PfcSetup {
 /// indicate a regression in the scheduler.
 pub fn pfc_setup(params: PfcParams) -> PfcSetup {
     let system = pfc_system(&params).expect("PFC links");
-    let schedules =
-        schedule_system(&system, &ScheduleOptions::default()).expect("PFC is schedulable");
+    let context = SearchContext::new(&system.net);
+    let (schedules, _) = schedule_system(
+        &system,
+        &context,
+        &ScheduleOptions::default(),
+        &SearchBudget::unlimited(),
+        false,
+    )
+    .expect("PFC is schedulable");
     let task = generate_task(
         &system,
         &schedules.schedules[0],

@@ -3,8 +3,7 @@
 //! The differential tests pit the incremental interned engine against the
 //! `qss_core::reference` oracle on randomly generated nets. The generator
 //! lives here (rather than inside one test file) so every suite — the
-//! root differential tests, the kernel property tests and ad-hoc bench
-//! experiments — draws from the same distribution, and so the strategy
+//! root differential tests and ad-hoc bench experiments — draws from the same distribution, and so the strategy
 //! can implement *domain-aware shrinking*: a failing net is minimized by
 //! dropping arcs, emptying initial markings and flattening weights, which
 //! turns a five-transition counterexample into the two-arc core that
@@ -42,10 +41,8 @@ pub enum NetProfile {
     /// Hundreds of places (96–256) with a few high-fan-in *hub* places
     /// that a large share of the arcs route through, plus deliberate
     /// preset duplication so choices nest into multi-member ECSs. Rows
-    /// this wide push the enabledness kernels past the dense need-row cap
-    /// into the sparse CSR fallback — the regime where chunked and scalar
-    /// engines diverge most in shape, so where their equivalence needs
-    /// the most pinning.
+    /// this wide make the reference oracle's per-node chain walks costly
+    /// and exercise the ECS sweep on multi-member sets.
     Hub,
 }
 
@@ -203,8 +200,7 @@ pub fn wide_net_strategy() -> RandomNetStrategy {
 }
 
 /// The hub-profile strategy (hundreds of places, high-fan-in hubs, nested
-/// choices) that pushes the enabledness kernels into their sparse CSR
-/// fallback.
+/// choices into multi-member ECSs).
 pub fn hub_net_strategy() -> RandomNetStrategy {
     RandomNetStrategy {
         profile: NetProfile::Hub,

@@ -599,8 +599,26 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qss_core::{schedule_system, ScheduleOptions};
+    use qss_core::{
+        schedule_system, ScheduleOptions, SearchBudget, SearchContext, SearchProfile,
+        SystemSchedules,
+    };
     use qss_flowc::{parse_process, SystemSpec};
+
+    /// The schedules of `system` under the default options.
+    fn schedule_default(system: &LinkedSystem) -> SystemSchedules {
+        let context = SearchContext::new(&system.net);
+        let budget = SearchBudget::unlimited();
+        schedule_system(
+            system,
+            &context,
+            &ScheduleOptions::default(),
+            &budget,
+            false,
+        )
+        .unwrap()
+        .0
+    }
 
     fn pipeline_system() -> LinkedSystem {
         let producer = parse_process(
@@ -636,7 +654,7 @@ mod tests {
     #[test]
     fn generates_task_for_pipeline() {
         let system = pipeline_system();
-        let schedules = schedule_system(&system, &ScheduleOptions::default()).unwrap();
+        let schedules = schedule_default(&system);
         assert_eq!(schedules.schedules.len(), 1);
         let task = generate_task(
             &system,
@@ -665,7 +683,7 @@ mod tests {
         let divisors = parse_process(qss_flowc::examples::DIVISORS).unwrap();
         let spec = SystemSpec::new("divisors_sys").with_process(divisors);
         let system = qss_flowc::link(&spec).unwrap();
-        let schedules = schedule_system(&system, &ScheduleOptions::default()).unwrap();
+        let schedules = schedule_default(&system);
         let task = generate_task(
             &system,
             &schedules.schedules[0],
@@ -697,7 +715,15 @@ mod tests {
         bl.arc_p2t(p, t, 1);
         let other = bl.build().unwrap();
         let src = other.transition_by_name("in").unwrap();
-        let schedule = qss_core::find_schedule(&other, src, &ScheduleOptions::default()).unwrap();
+        let (schedule, _) = SearchContext::new(&other)
+            .find_schedule_profiled(
+                &other,
+                src,
+                &ScheduleOptions::default(),
+                &SearchBudget::unlimited(),
+                &mut SearchProfile::default(),
+            )
+            .unwrap();
         // Either segment construction or emission must fail — the schedule
         // talks about transitions that do not exist in `system`.
         let result = generate_task(

@@ -540,8 +540,22 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qss_core::{find_schedule, ScheduleOptions};
+    use qss_core::{ScheduleOptions, SearchBudget, SearchContext, SearchProfile};
     use qss_petri::{NetBuilder, TransitionKind};
+
+    /// The schedule of `source` under the default options.
+    fn find_default(net: &PetriNet, source: TransitionId) -> Schedule {
+        SearchContext::new(net)
+            .find_schedule_profiled(
+                net,
+                source,
+                &ScheduleOptions::default(),
+                &SearchBudget::unlimited(),
+                &mut SearchProfile::default(),
+            )
+            .unwrap()
+            .0
+    }
 
     /// The Figure 8(a) net, whose schedule (Figure 10(d)) produces the code
     /// segments of Figure 14(c).
@@ -571,7 +585,7 @@ mod tests {
     #[test]
     fn figure8_segment_structure_matches_figure14() {
         let (net, a) = figure8();
-        let schedule = find_schedule(&net, a, &ScheduleOptions::default()).unwrap();
+        let schedule = find_default(&net, a);
         let graph = SegmentGraph::build(&schedule, &net).unwrap();
         // Figure 14(c) has three code segments: cs1 (a ...), cs2 (e) and
         // cs3 (bc ...).
@@ -611,7 +625,7 @@ mod tests {
         bl.arc_p2t(q, t2, 1);
         let net = bl.build().unwrap();
         let src = net.transition_by_name("in").unwrap();
-        let schedule = find_schedule(&net, src, &ScheduleOptions::default()).unwrap();
+        let schedule = find_default(&net, src);
         let graph = SegmentGraph::build(&schedule, &net).unwrap();
         // Everything is deterministic: a single segment, no state places.
         assert_eq!(graph.segments.len(), 1);
@@ -639,7 +653,7 @@ mod tests {
         bl.arc_p2t(q, done, 1);
         let net = bl.build().unwrap();
         let src = net.transition_by_name("in").unwrap();
-        let schedule = find_schedule(&net, src, &ScheduleOptions::default()).unwrap();
+        let schedule = find_default(&net, src);
         let graph = SegmentGraph::build(&schedule, &net).unwrap();
         // The choice node has two branches, both eventually returning.
         let choice_node = graph

@@ -48,8 +48,8 @@ use crate::schedule::{NodeId, Schedule};
 use crate::termination::{PathTracker, TerminationKind};
 use qss_flowc::LinkedSystem;
 use qss_petri::{
-    EcsId, EcsInfo, KernelKind, KernelScratch, Marking, MarkingId, MarkingStore, NetKernels,
-    PetriNet, PlaceId, StructuralReport, TransitionId, TransitionKind,
+    EcsId, EcsInfo, Marking, MarkingId, MarkingStore, PetriNet, PlaceId, TransitionId,
+    TransitionKind,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -62,8 +62,8 @@ use std::collections::BTreeMap;
 /// thousands of frames before a deadline budget trips, far past the
 /// 2 MiB Rust gives a spawned thread by default. Threads created with
 /// this size only *reserve* the address space; pages are committed as
-/// the search actually deepens. The parallel system scheduler uses it
-/// for its fan-out threads, and `qssd` uses it for its worker threads.
+/// the search actually deepens. [`schedule_system`] uses it for its
+/// parallel fan-out threads, and `qssd` uses it for its worker threads.
 pub const SEARCH_THREAD_STACK_BYTES: usize = 64 * 1024 * 1024;
 
 /// Options controlling the schedule search.
@@ -143,8 +143,8 @@ pub struct SearchStats {
 ///
 /// Where [`SearchStats`] describes the *result* (tree and schedule
 /// sizes), the profile describes the *work*: how many nodes the search
-/// expanded, where it pruned, which enabledness engine swept candidates
-/// and how often, and how the wall clock split across the phases
+/// expanded, where it pruned, how often it swept for enabled candidates,
+/// and how the wall clock split across the phases
 /// (context build / greedy pass / exhaustive retry). Profiles of
 /// separate searches aggregate with [`SearchProfile::absorb`]; the
 /// system-level entry points return one profile spanning every source.
@@ -170,11 +170,8 @@ pub struct SearchProfile {
     /// Nodes cut by the termination criterion (irrelevance or place
     /// bounds).
     pub irrelevance_cuts: u64,
-    /// Candidate-ECS enabledness sweeps run by the scalar per-arc walk.
-    pub ecs_sweeps_scalar: u64,
-    /// Candidate-ECS enabledness sweeps run by the chunked need-row
-    /// kernels.
-    pub ecs_sweeps_chunked: u64,
+    /// Candidate-ECS enabledness sweeps (one per expanded EP node).
+    pub ecs_sweeps: u64,
     /// Cooperative budget checks charged (0 under an unlimited budget).
     pub budget_checks: u64,
     /// Exhaustive retries after a failed greedy pass.
@@ -197,8 +194,7 @@ impl SearchProfile {
         self.equal_ancestor_probes += other.equal_ancestor_probes;
         self.equal_ancestor_hits += other.equal_ancestor_hits;
         self.irrelevance_cuts += other.irrelevance_cuts;
-        self.ecs_sweeps_scalar += other.ecs_sweeps_scalar;
-        self.ecs_sweeps_chunked += other.ecs_sweeps_chunked;
+        self.ecs_sweeps += other.ecs_sweeps;
         self.budget_checks += other.budget_checks;
         self.exhaustive_retries += other.exhaustive_retries;
         self.context_build_micros += other.context_build_micros;
@@ -217,8 +213,7 @@ impl SearchProfile {
             ("equal_ancestor_probes", self.equal_ancestor_probes),
             ("equal_ancestor_hits", self.equal_ancestor_hits),
             ("irrelevance_cuts", self.irrelevance_cuts),
-            ("ecs_sweeps_scalar", self.ecs_sweeps_scalar),
-            ("ecs_sweeps_chunked", self.ecs_sweeps_chunked),
+            ("ecs_sweeps", self.ecs_sweeps),
             ("budget_checks", self.budget_checks),
             ("exhaustive_retries", self.exhaustive_retries),
             ("context_build_micros", self.context_build_micros),
@@ -228,42 +223,13 @@ impl SearchProfile {
     }
 }
 
-/// Finds a single-source schedule for the uncontrollable source transition
-/// `source` of `net`.
-///
-/// # Errors
-/// * [`ScheduleError::NotUncontrollableSource`] if `source` has the wrong
-///   kind,
-/// * [`ScheduleError::NoTInvariants`] if the net has no T-invariants (no
-///   cyclic schedule can exist),
-/// * [`ScheduleError::NoSchedule`] if the bounded search space contains no
-///   schedule,
-/// * [`ScheduleError::SearchBudgetExhausted`] if the safety node budget ran
-///   out first.
-pub fn find_schedule(
-    net: &PetriNet,
-    source: TransitionId,
-    options: &ScheduleOptions,
-) -> Result<Schedule> {
-    find_schedule_with_stats(net, source, options).map(|(s, _)| s)
-}
-
-/// Like [`find_schedule`] but also returns search statistics.
-pub fn find_schedule_with_stats(
-    net: &PetriNet,
-    source: TransitionId,
-    options: &ScheduleOptions,
-) -> Result<(Schedule, SearchStats)> {
-    SearchContext::new(net).find_schedule_with_stats(net, source, options)
-}
-
 /// Reusable per-net scheduling context.
 ///
 /// The ECS partition and the non-negative T-invariant basis depend only on
 /// the net structure, and for small reactive nets (e.g. the PFC case
 /// study) the Farkas elimination behind the basis dominates the cost of a
 /// whole schedule search. Build the context once and every
-/// [`SearchContext::find_schedule`] call — across sources, option
+/// [`SearchContext::find_schedule_profiled`] call — across sources, option
 /// profiles and the greedy→exhaustive retry — shares the precomputed
 /// analyses. [`schedule_system`] does this for all the sources of a
 /// linked system, and the `qss` facade's `ScheduleArtifact` carries the
@@ -274,7 +240,7 @@ pub fn find_schedule_with_stats(
 /// passed to each call instead, and — like [`Marking`] — the caller is
 /// responsible for only combining a context with the net it was computed
 /// from. All fields are immutable after construction, so one context can
-/// be shared by reference across threads ([`schedule_system_parallel`]).
+/// be shared by reference across threads (see [`schedule_system`]).
 #[derive(Debug, Clone)]
 pub struct SearchContext {
     ecs: EcsInfo,
@@ -283,139 +249,31 @@ pub struct SearchContext {
     /// clones it so the path tracker's interning starts from the shared
     /// base instead of re-hashing the initial marking per call.
     base_store: MarkingStore,
-    /// Facts adopted from a structural pre-pass ([`SearchContext::with_structural`]);
-    /// `None` for contexts built with [`SearchContext::new`], which keeps
-    /// the analysis-off search byte-identical to the pre-analyzer engine.
-    structural: Option<StructuralGate>,
-    /// Which enabledness engine searches on this context use (scalar
-    /// per-arc walk or the chunked need-row kernels). Resolved once at
-    /// construction from the `QSS_KERNEL` override.
-    kernel: KernelKind,
-    /// The compiled need-row kernels ([`NetKernels`]): per-transition
-    /// lower-bound rows aligned to the slab stride (or a sparse CSR
-    /// fallback for very wide nets) plus ECS representatives, with cell
-    /// width narrowed to u8/u16 when a structural report proved that
-    /// every reachable count fits.
-    kernels: NetKernels,
     /// Wall time the per-net analyses took, reported as the
     /// `context_build_micros` phase of a [`SearchProfile`].
     build_micros: u64,
 }
 
-/// The slice of a [`StructuralReport`] the search engine consumes.
-#[derive(Debug, Clone)]
-struct StructuralGate {
-    /// First place proven unbounded under internal transitions alone;
-    /// its presence fast-rejects every search on this net.
-    unbounded: Option<PlaceId>,
-    /// Per-transition "provably dead" flags; a search for a dead source
-    /// is fast-rejected.
-    dead: Vec<bool>,
-    /// The maximum proven place bound, present only when every place has
-    /// one (see [`StructuralReport::max_marking_bound`]).
-    max_marking_bound: Option<u32>,
-}
-
 impl SearchContext {
-    /// Computes the per-net analyses (ECS partition, T-invariant basis,
-    /// enabledness kernels) and seeds the per-net marking store.
-    ///
-    /// The enabledness engine defaults to the chunked need-row kernels;
-    /// the `QSS_KERNEL` environment variable (`scalar` or `chunked`)
-    /// overrides it process-wide — the differential CI jobs force both
-    /// settings to pin the engines byte-identical.
+    /// Computes the per-net analyses (ECS partition, T-invariant basis)
+    /// and seeds the per-net marking store.
     pub fn new(net: &PetriNet) -> Self {
-        SearchContext::with_kernel(net, KernelKind::resolved(KernelKind::Chunked))
-    }
-
-    /// Like [`SearchContext::new`] but with an explicit enabledness
-    /// engine, ignoring the `QSS_KERNEL` override — the in-process A/B
-    /// tests and benches use this to compare engines side by side.
-    pub fn with_kernel(net: &PetriNet, kernel: KernelKind) -> Self {
         let build_start = std::time::Instant::now();
         let mut base_store = MarkingStore::with_stride(net.num_places());
         let _ = base_store.intern(net.initial_marking().as_slice());
         let ecs = EcsInfo::compute(net);
-        let kernels = NetKernels::compile(net, &ecs, None);
         let sorter = EcsSorter::new(net);
         SearchContext {
             ecs,
             sorter,
             base_store,
-            structural: None,
-            kernel,
-            kernels,
             build_micros: build_start.elapsed().as_micros() as u64,
         }
-    }
-
-    /// Like [`SearchContext::new`], but additionally adopts the proofs of
-    /// a structural pre-pass over the same net:
-    ///
-    /// * nets with a provably (internally) unbounded place or a provably
-    ///   dead source transition are rejected with a typed error
-    ///   *before* any search runs
-    ///   ([`ScheduleError::StructurallyUnbounded`] /
-    ///   [`ScheduleError::StructurallyDead`]),
-    /// * proven place bounds pre-arm
-    ///   [`TerminationKind::PlaceBounds`] via
-    ///   [`SearchContext::pre_armed_place_bounds`], and the per-net
-    ///   maximum bound is recorded
-    ///   ([`SearchContext::structural_max_bound`]) so a narrow-cell
-    ///   marking slab can later pick u8/u16 cells.
-    ///
-    /// `report` must come from the net this context is built for.
-    pub fn with_structural(net: &PetriNet, report: &StructuralReport) -> Self {
-        let build_start = std::time::Instant::now();
-        let mut context = SearchContext::new(net);
-        let mut dead = vec![false; net.num_transitions()];
-        for t in &report.dead_transitions {
-            dead[t.index()] = true;
-        }
-        context.structural = Some(StructuralGate {
-            unbounded: report.unbounded_places().first().copied(),
-            dead,
-            max_marking_bound: report.max_marking_bound,
-        });
-        // Proven place bounds license narrow kernel cells: recompile the
-        // need rows so a fully-bounded net gets u8/u16 lanes.
-        context.kernels = NetKernels::compile(net, &context.ecs, report.max_marking_bound);
-        context.build_micros = build_start.elapsed().as_micros() as u64;
-        context
     }
 
     /// Wall time the per-net analyses behind this context took to build.
     pub fn build_micros(&self) -> u64 {
         self.build_micros
-    }
-
-    /// The enabledness engine searches on this context use.
-    pub fn kernel_kind(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// The compiled enabledness kernels of the net (shared, immutable;
-    /// callers bring their own [`KernelScratch`]).
-    pub fn kernels(&self) -> &NetKernels {
-        &self.kernels
-    }
-
-    /// The maximum proven structural place bound, if the adopted report
-    /// proved one for *every* place. `None` for contexts without a
-    /// structural report.
-    pub fn structural_max_bound(&self) -> Option<u32> {
-        self.structural.as_ref().and_then(|g| g.max_marking_bound)
-    }
-
-    /// Schedule options pre-armed with the proven place bounds: when the
-    /// adopted report bounds every place, returns
-    /// [`ScheduleOptions::with_place_bounds`] seeded with the proven
-    /// maximum (no reachable marking violates it, so the bound check can
-    /// replace the irrelevance machinery without losing any schedule the
-    /// bounds admit). `None` when no full cover was proven.
-    pub fn pre_armed_place_bounds(&self) -> Option<ScheduleOptions> {
-        self.structural_max_bound()
-            .map(ScheduleOptions::with_place_bounds)
     }
 
     /// The ECS partition of the net.
@@ -429,70 +287,39 @@ impl SearchContext {
         &self.base_store
     }
 
-    /// Finds a single-source schedule for `source` using the precomputed
-    /// analyses. `net` must be the net this context was built from.
+    /// Finds a single-source schedule for the uncontrollable source
+    /// transition `source` using the precomputed analyses, and returns it
+    /// with its search statistics. `net` must be the net this context was
+    /// built from.
     ///
-    /// # Errors
-    /// Same contract as the free function [`find_schedule`].
-    pub fn find_schedule(
-        &self,
-        net: &PetriNet,
-        source: TransitionId,
-        options: &ScheduleOptions,
-    ) -> Result<Schedule> {
-        self.find_schedule_with_stats(net, source, options)
-            .map(|(s, _)| s)
-    }
-
-    /// Like [`SearchContext::find_schedule`] but also returns search
-    /// statistics.
-    ///
-    /// # Errors
-    /// Same contract as the free function [`find_schedule_with_stats`].
-    pub fn find_schedule_with_stats(
-        &self,
-        net: &PetriNet,
-        source: TransitionId,
-        options: &ScheduleOptions,
-    ) -> Result<(Schedule, SearchStats)> {
-        self.find_schedule_with_stats_budgeted(net, source, options, &SearchBudget::unlimited())
-    }
-
-    /// Like [`SearchContext::find_schedule_with_stats`], but under a
-    /// cooperative [`SearchBudget`]: the search charges one budget step
-    /// per tree-node expansion and stops with
-    /// [`ScheduleError::BudgetExhausted`] when the step cap runs out,
-    /// the deadline passes, or the budget's cancellation flag is raised.
-    /// One budget state spans the whole call, including the automatic
+    /// The search runs under the cooperative `budget`: it charges one
+    /// budget step per tree-node expansion and stops with
+    /// [`ScheduleError::BudgetExhausted`] when the step cap runs out, the
+    /// deadline passes, or the budget's cancellation flag is raised. One
+    /// budget state spans the whole call, including the automatic
     /// greedy→exhaustive retry, so the retry cannot reset the allowance.
     /// An [unlimited](SearchBudget::is_unlimited) budget adds no
-    /// observable work: results are identical to the unbudgeted call.
+    /// observable work.
     ///
-    /// # Errors
-    /// The contract of [`find_schedule_with_stats`] plus
-    /// [`ScheduleError::BudgetExhausted`].
-    pub fn find_schedule_with_stats_budgeted(
-        &self,
-        net: &PetriNet,
-        source: TransitionId,
-        options: &ScheduleOptions,
-        budget: &SearchBudget,
-    ) -> Result<(Schedule, SearchStats)> {
-        let mut profile = SearchProfile::default();
-        self.find_schedule_profiled(net, source, options, budget, &mut profile)
-    }
-
-    /// Like [`SearchContext::find_schedule_with_stats_budgeted`], but
-    /// additionally aggregates a [`SearchProfile`] of the work done into
-    /// `profile` (the profile is absorbed, not overwritten, so one
-    /// profile can span several calls). The search itself is identical —
-    /// profiling changes which numbers are *kept*, never which tree is
+    /// A [`SearchProfile`] of the work done is aggregated into `profile`
+    /// (absorbed, not overwritten, so one profile can span several calls).
+    /// Profiling changes which numbers are *kept*, never which tree is
     /// explored. `context_build_micros` is not charged here; system-level
-    /// callers attribute the (shared, possibly cached) context build
-    /// once via [`SearchContext::build_micros`].
+    /// callers attribute the (shared, possibly cached) context build once
+    /// via [`SearchContext::build_micros`].
     ///
     /// # Errors
-    /// Same contract as [`find_schedule_with_stats_budgeted`](Self::find_schedule_with_stats_budgeted).
+    /// * [`ScheduleError::NotUncontrollableSource`] if `source` has the
+    ///   wrong kind,
+    /// * [`ScheduleError::NoTInvariants`] if the net has no T-invariants
+    ///   (no cyclic schedule can exist),
+    /// * [`ScheduleError::SourceNotEnabled`] if `source` cannot fire at the
+    ///   initial marking,
+    /// * [`ScheduleError::NoSchedule`] if the bounded search space contains
+    ///   no schedule,
+    /// * [`ScheduleError::SearchBudgetExhausted`] if the safety node
+    ///   budget ran out first,
+    /// * [`ScheduleError::BudgetExhausted`] if `budget` stopped the search.
     pub fn find_schedule_profiled(
         &self,
         net: &PetriNet,
@@ -505,20 +332,13 @@ impl SearchContext {
         if net.transition(source).kind != TransitionKind::UncontrollableSource {
             return Err(ScheduleError::NotUncontrollableSource(source));
         }
-        // Structural fast-reject: proofs adopted via `with_structural`
-        // make the search fail in O(1) instead of burning its budget on a
-        // net that cannot have a schedule. Contexts without a report skip
-        // this entirely (analysis-off behavior is byte-identical).
-        if let Some(gate) = &self.structural {
-            if let Some(p) = gate.unbounded {
-                return Err(ScheduleError::StructurallyUnbounded(p));
-            }
-            if gate.dead[source.index()] {
-                return Err(ScheduleError::StructurallyDead(source));
-            }
-        }
         if self.sorter.has_no_invariants() && net.num_transitions() > 0 {
             return Err(ScheduleError::NoTInvariants);
+        }
+        // The search fires the source at the root unconditionally; a
+        // source gated behind an unmarked place must fail here instead.
+        if !net.is_enabled(source, &net.initial_marking()) {
+            return Err(ScheduleError::SourceNotEnabled(source));
         }
         // One checker for the whole call: the greedy→exhaustive retry
         // below continues charging the same allowance.
@@ -540,9 +360,6 @@ impl SearchContext {
                 budget_stop: None,
                 combo_buf: Vec::new(),
                 promising_buf: Vec::new(),
-                kernel: self.kernel,
-                kernels: &self.kernels,
-                kernel_scratch: KernelScratch::default(),
                 ecs_pool: Vec::new(),
                 profile: SearchProfile::default(),
             };
@@ -612,211 +429,92 @@ impl SystemSchedules {
 }
 
 /// Computes one schedule per uncontrollable input port of a linked system
-/// and verifies that the resulting set is independent (Proposition 4.3
+/// on `context` (which must have been computed from `system.net`) and
+/// verifies that the resulting set is independent (Proposition 4.3
 /// guarantees this for nets generated from FlowC, but the check is cheap
-/// and validates the construction).
+/// and validates the construction). Also returns the aggregated
+/// [`SearchProfile`] of every per-source search, including the context
+/// build time of `context`.
+///
+/// Every per-source search runs under `budget`: the deadline (an absolute
+/// instant) bounds the *combined* wall clock of all sources, and the step
+/// cap is charged per source.
+///
+/// With `parallel`, the per-source searches fan out across threads
+/// (`std::thread::scope`) that share the read-only context. The searches
+/// of different sources only read the net and the per-net analyses, so
+/// the result is identical to the sequential path: schedules and profiles
+/// are collected in source order and, when several sources fail, the
+/// error of the earliest source is reported, exactly as the sequential
+/// loop would.
 ///
 /// # Errors
-/// Propagates [`find_schedule`] errors, and returns
-/// [`ScheduleError::NotIndependent`] if two schedules interfere.
+/// Propagates [`SearchContext::find_schedule_profiled`] errors, and
+/// returns [`ScheduleError::NotIndependent`] if two schedules interfere.
 pub fn schedule_system(
     system: &LinkedSystem,
-    options: &ScheduleOptions,
-) -> Result<SystemSchedules> {
-    // One context serves every source: the ECS partition and T-invariant
-    // basis are per-net, not per-source.
-    let context = SearchContext::new(&system.net);
-    schedule_system_with_context(system, &context, options)
-}
-
-/// Like [`schedule_system`], but reuses a prebuilt [`SearchContext`]
-/// (which must have been computed from `system.net`).
-///
-/// # Errors
-/// Same contract as [`schedule_system`].
-pub fn schedule_system_with_context(
-    system: &LinkedSystem,
-    context: &SearchContext,
-    options: &ScheduleOptions,
-) -> Result<SystemSchedules> {
-    schedule_system_with_context_budgeted(system, context, options, &SearchBudget::unlimited())
-}
-
-/// Like [`schedule_system_with_context`], but every per-source search
-/// runs under the given cooperative [`SearchBudget`]. The deadline (an
-/// absolute instant) bounds the *combined* wall clock of all sources;
-/// the step cap is charged per source.
-///
-/// # Errors
-/// The contract of [`schedule_system`] plus
-/// [`ScheduleError::BudgetExhausted`].
-pub fn schedule_system_with_context_budgeted(
-    system: &LinkedSystem,
     context: &SearchContext,
     options: &ScheduleOptions,
     budget: &SearchBudget,
-) -> Result<SystemSchedules> {
-    schedule_system_profiled(system, context, options, budget).map(|(schedules, _)| schedules)
-}
-
-/// Like [`schedule_system_with_context_budgeted`], but also returns the
-/// aggregated [`SearchProfile`] of every per-source search (including the
-/// context build time of `context`).
-///
-/// # Errors
-/// Same contract as [`schedule_system_with_context_budgeted`].
-pub fn schedule_system_profiled(
-    system: &LinkedSystem,
-    context: &SearchContext,
-    options: &ScheduleOptions,
-    budget: &SearchBudget,
+    parallel: bool,
 ) -> Result<(SystemSchedules, SearchProfile)> {
-    let mut profile = SearchProfile {
-        context_build_micros: context.build_micros(),
-        ..SearchProfile::default()
-    };
-    let sources = system.uncontrollable_sources();
-    let mut schedules = Vec::new();
-    let mut stats = Vec::new();
-    for source in sources {
-        let (s, st) =
-            context.find_schedule_profiled(&system.net, source, options, budget, &mut profile)?;
-        schedules.push(s);
-        stats.push(st);
-    }
-    Ok((seal_system_schedules(system, schedules, stats)?, profile))
-}
-
-/// Computes one schedule per uncontrollable input like [`schedule_system`],
-/// but fans the per-source searches out across threads
-/// (`std::thread::scope`), sharing one read-only [`SearchContext`].
-///
-/// The searches of different sources are completely independent — they
-/// only read the net and the per-net analyses — so the result is
-/// deterministic and identical to the sequential path: schedules are
-/// collected in source order and, when several sources fail, the error of
-/// the earliest source is reported, exactly as the sequential loop would.
-///
-/// # Errors
-/// Same contract as [`schedule_system`].
-pub fn schedule_system_parallel(
-    system: &LinkedSystem,
-    options: &ScheduleOptions,
-) -> Result<SystemSchedules> {
-    let context = SearchContext::new(&system.net);
-    schedule_system_parallel_with_context(system, &context, options)
-}
-
-/// Like [`schedule_system_parallel`], but reuses a prebuilt
-/// [`SearchContext`] (which must have been computed from `system.net`).
-///
-/// # Errors
-/// Same contract as [`schedule_system`].
-pub fn schedule_system_parallel_with_context(
-    system: &LinkedSystem,
-    context: &SearchContext,
-    options: &ScheduleOptions,
-) -> Result<SystemSchedules> {
-    schedule_system_parallel_with_context_budgeted(
-        system,
-        context,
-        options,
-        &SearchBudget::unlimited(),
-    )
-}
-
-/// Like [`schedule_system_parallel_with_context`], but every per-source
-/// search runs under the given cooperative [`SearchBudget`] (see
-/// [`schedule_system_with_context_budgeted`] for the deadline/step-cap
-/// semantics; the absolute deadline naturally spans the fanned-out
-/// searches too).
-///
-/// # Errors
-/// The contract of [`schedule_system`] plus
-/// [`ScheduleError::BudgetExhausted`].
-pub fn schedule_system_parallel_with_context_budgeted(
-    system: &LinkedSystem,
-    context: &SearchContext,
-    options: &ScheduleOptions,
-    budget: &SearchBudget,
-) -> Result<SystemSchedules> {
-    schedule_system_parallel_profiled(system, context, options, budget)
-        .map(|(schedules, _)| schedules)
-}
-
-/// Like [`schedule_system_parallel_with_context_budgeted`], but also
-/// returns the aggregated [`SearchProfile`] across every per-source
-/// search thread (profiles are merged in source order, so the result is
-/// deterministic and identical to the sequential path's).
-///
-/// # Errors
-/// Same contract as [`schedule_system_parallel_with_context_budgeted`].
-pub fn schedule_system_parallel_profiled(
-    system: &LinkedSystem,
-    context: &SearchContext,
-    options: &ScheduleOptions,
-    budget: &SearchBudget,
-) -> Result<(SystemSchedules, SearchProfile)> {
-    let sources = system.uncontrollable_sources();
-    if sources.len() <= 1 {
-        return schedule_system_profiled(system, context, options, budget);
-    }
     let net = &system.net;
-    type SourceOutcome = Result<(Schedule, SearchStats)>;
-    let mut results: Vec<Option<(SourceOutcome, SearchProfile)>> = Vec::new();
-    results.resize_with(sources.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot, &source) in results.iter_mut().zip(&sources) {
-            std::thread::Builder::new()
-                .stack_size(SEARCH_THREAD_STACK_BYTES)
-                .spawn_scoped(scope, move || {
-                    let mut profile = SearchProfile::default();
-                    let outcome =
-                        context.find_schedule_profiled(net, source, options, budget, &mut profile);
-                    *slot = Some((outcome, profile));
-                })
-                .expect("spawn a scheduling thread");
-        }
-    });
+    let search = |source: TransitionId| {
+        let mut profile = SearchProfile::default();
+        let outcome = context.find_schedule_profiled(net, source, options, budget, &mut profile);
+        (outcome, profile)
+    };
     let mut profile = SearchProfile {
         context_build_micros: context.build_micros(),
         ..SearchProfile::default()
     };
     let mut schedules = Vec::new();
     let mut stats = Vec::new();
-    for result in results {
-        let (outcome, source_profile) = result.expect("every scheduling thread fills its slot");
-        // Absorb the work counters before propagating errors: the profile
-        // of the earliest failing source is still meaningful, but the
-        // error contract must match the sequential loop, which stops at
-        // the first failure.
-        profile.absorb(&source_profile);
-        let (s, st) = outcome?;
-        schedules.push(s);
-        stats.push(st);
-    }
-    Ok((seal_system_schedules(system, schedules, stats)?, profile))
-}
-
-/// Shared tail of the system schedulers: the independence check and the
-/// channel-bound computation.
-fn seal_system_schedules(
-    system: &LinkedSystem,
-    schedules: Vec<Schedule>,
-    stats: Vec<SearchStats>,
-) -> Result<SystemSchedules> {
-    if let Err((a, b)) = is_independent_set(&schedules, &system.net) {
-        return Err(ScheduleError::NotIndependent {
-            first: a,
-            second: b,
+    // Absorbs the work counters before propagating errors, so the two
+    // paths stop at the same (earliest) failing source.
+    let mut collect =
+        |(outcome, source_profile): (Result<(Schedule, SearchStats)>, SearchProfile)| {
+            profile.absorb(&source_profile);
+            outcome.map(|(s, st)| {
+                schedules.push(s);
+                stats.push(st);
+            })
+        };
+    let sources = system.uncontrollable_sources();
+    if parallel && sources.len() > 1 {
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = sources
+                .iter()
+                .map(|&source| {
+                    std::thread::Builder::new()
+                        .stack_size(SEARCH_THREAD_STACK_BYTES)
+                        .spawn_scoped(scope, move || search(source))
+                        .expect("spawn a scheduling thread")
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a scheduling thread panicked"))
+                .collect()
         });
+        for outcome in outcomes {
+            collect(outcome)?;
+        }
+    } else {
+        for source in sources {
+            collect(search(source))?;
+        }
     }
-    let channel_bounds = channel_bounds(&schedules, &system.net);
-    Ok(SystemSchedules {
+    if let Err((first, second)) = is_independent_set(&schedules, net) {
+        return Err(ScheduleError::NotIndependent { first, second });
+    }
+    let channel_bounds = channel_bounds(&schedules, net);
+    let schedules = SystemSchedules {
         schedules,
         channel_bounds,
         stats,
-    })
+    };
+    Ok((schedules, profile))
 }
 
 /// One node of the search tree.
@@ -860,14 +558,6 @@ struct Search<'a> {
     /// nodes so the heuristic allocates nothing on the hot path.
     combo_buf: Vec<u64>,
     promising_buf: Vec<u64>,
-    /// Which enabledness engine this search runs (from the context).
-    kernel: KernelKind,
-    /// The context's compiled need-row kernels.
-    kernels: &'a NetKernels,
-    /// Per-search kernel scratch (narrowed counts row, bit-set); the
-    /// context's kernels are shared across threads, so the mutable state
-    /// lives here.
-    kernel_scratch: KernelScratch,
     /// Per-depth candidate-ECS buffers, recycled across the recursion so
     /// the per-node ECS sweep allocates nothing once the pool has warmed
     /// up. Indexed by node depth: the DFS has at most one live frame per
@@ -945,23 +635,10 @@ impl<'a> Search<'a> {
     /// by the single-source constraint and ordered by the search
     /// heuristics. Fills the caller's reused buffer — the whole sweep is
     /// allocation-free once the scratch has warmed up.
-    ///
-    /// The scalar and chunked engines agree on every marking (the kernel
-    /// property suite pins this), and the filter-and-sort below is shared,
-    /// so the two engines explore byte-identical trees.
     fn fill_candidate_ecs(&mut self, candidates: &mut Vec<EcsId>) {
-        let marking = self.tracker.marking().as_slice();
-        match self.kernel {
-            KernelKind::Scalar => {
-                self.profile.ecs_sweeps_scalar += 1;
-                self.ecs.enabled_ecs_into(self.net, marking, candidates)
-            }
-            KernelKind::Chunked => {
-                self.profile.ecs_sweeps_chunked += 1;
-                self.kernels
-                    .enabled_ecs_into(marking, &mut self.kernel_scratch, candidates)
-            }
-        }
+        self.profile.ecs_sweeps += 1;
+        self.ecs
+            .enabled_ecs_into(self.net, self.tracker.marking().as_slice(), candidates);
         if self.options.single_source {
             // Exclude other uncontrollable sources (Sec. 5.5.1).
             candidates.retain(|e| {
@@ -1249,9 +926,38 @@ impl<'a> Search<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qss_petri::NetBuilder;
+
+    /// One search on a fresh context under `budget`.
+    fn find_budgeted(
+        net: &PetriNet,
+        source: TransitionId,
+        options: &ScheduleOptions,
+        budget: &SearchBudget,
+    ) -> Result<(Schedule, SearchStats)> {
+        let mut profile = SearchProfile::default();
+        SearchContext::new(net).find_schedule_profiled(net, source, options, budget, &mut profile)
+    }
+
+    fn find_with_stats(
+        net: &PetriNet,
+        source: TransitionId,
+        options: &ScheduleOptions,
+    ) -> Result<(Schedule, SearchStats)> {
+        find_budgeted(net, source, options, &SearchBudget::unlimited())
+    }
+
+    /// One search on a fresh context under an unlimited budget (shared by
+    /// the crate's unit tests).
+    pub(crate) fn find(
+        net: &PetriNet,
+        source: TransitionId,
+        options: &ScheduleOptions,
+    ) -> Result<Schedule> {
+        find_with_stats(net, source, options).map(|(s, _)| s)
+    }
 
     /// The Figure 8(a) net.
     fn figure8() -> PetriNet {
@@ -1279,8 +985,7 @@ mod tests {
     fn schedules_figure8_net() {
         let net = figure8();
         let a = net.transition_by_name("a").unwrap();
-        let (schedule, stats) =
-            find_schedule_with_stats(&net, a, &ScheduleOptions::default()).unwrap();
+        let (schedule, stats) = find_with_stats(&net, a, &ScheduleOptions::default()).unwrap();
         schedule.validate(&net).unwrap();
         assert!(schedule.is_single_source(&net));
         assert!(stats.nodes_created >= schedule.num_nodes());
@@ -1299,7 +1004,7 @@ mod tests {
         b.arc_p2t(p, t, 1);
         let net = b.build().unwrap();
         let src = net.transition_by_name("in").unwrap();
-        let schedule = find_schedule(&net, src, &ScheduleOptions::default()).unwrap();
+        let schedule = find(&net, src, &ScheduleOptions::default()).unwrap();
         schedule.validate(&net).unwrap();
         assert_eq!(schedule.num_nodes(), 2);
         assert_eq!(schedule.num_edges(), 2);
@@ -1310,7 +1015,7 @@ mod tests {
         let net = figure8();
         let b = net.transition_by_name("b").unwrap();
         assert!(matches!(
-            find_schedule(&net, b, &ScheduleOptions::default()),
+            find(&net, b, &ScheduleOptions::default()),
             Err(ScheduleError::NotUncontrollableSource(_))
         ));
     }
@@ -1323,7 +1028,7 @@ mod tests {
         b.arc_t2p(src, p, 1);
         let net = b.build().unwrap();
         let src = net.transition_by_name("in").unwrap();
-        let err = find_schedule(&net, src, &ScheduleOptions::default()).unwrap_err();
+        let err = find(&net, src, &ScheduleOptions::default()).unwrap_err();
         assert!(matches!(
             err,
             ScheduleError::NoTInvariants | ScheduleError::NoSchedule { .. }
@@ -1346,7 +1051,7 @@ mod tests {
         bl.arc_p2t(p2, c, 1);
         let net = bl.build().unwrap();
         let a = net.transition_by_name("a").unwrap();
-        let err = find_schedule(&net, a, &ScheduleOptions::default()).unwrap_err();
+        let err = find(&net, a, &ScheduleOptions::default()).unwrap_err();
         assert!(matches!(err, ScheduleError::NoSchedule { .. }));
         // With the single-source restriction lifted, a (multi-source)
         // schedule exists.
@@ -1354,7 +1059,7 @@ mod tests {
             single_source: false,
             ..Default::default()
         };
-        let s = find_schedule(&net, a, &opts).unwrap();
+        let s = find(&net, a, &opts).unwrap();
         s.validate(&net).unwrap();
         assert!(!s.is_single_source(&net));
     }
@@ -1372,7 +1077,7 @@ mod tests {
         bl.arc_p2t(p1, c, 2);
         let net = bl.build().unwrap();
         let a = net.transition_by_name("a").unwrap();
-        let s = find_schedule(&net, a, &ScheduleOptions::default()).unwrap();
+        let s = find(&net, a, &ScheduleOptions::default()).unwrap();
         s.validate(&net).unwrap();
         // r plus the intermediate await node.
         assert_eq!(s.await_nodes(&net).len(), 2);
@@ -1399,10 +1104,10 @@ mod tests {
         let a = net.transition_by_name("a").unwrap();
         let tight = ScheduleOptions::with_place_bounds(k - 2);
         assert!(matches!(
-            find_schedule(&net, a, &tight),
+            find(&net, a, &tight),
             Err(ScheduleError::NoSchedule { .. })
         ));
-        let s = find_schedule(&net, a, &ScheduleOptions::default()).unwrap();
+        let s = find(&net, a, &ScheduleOptions::default()).unwrap();
         s.validate(&net).unwrap();
         // The schedule needs k await nodes (one per arrival of `a`).
         assert_eq!(s.await_nodes(&net).len() as u32, k);
@@ -1412,10 +1117,9 @@ mod tests {
     fn heuristics_do_not_change_existence() {
         let net = figure8();
         let a = net.transition_by_name("a").unwrap();
-        let with = find_schedule_with_stats(&net, a, &ScheduleOptions::default()).unwrap();
+        let with = find_with_stats(&net, a, &ScheduleOptions::default()).unwrap();
         let without =
-            find_schedule_with_stats(&net, a, &ScheduleOptions::default().without_heuristics())
-                .unwrap();
+            find_with_stats(&net, a, &ScheduleOptions::default().without_heuristics()).unwrap();
         with.0.validate(&net).unwrap();
         without.0.validate(&net).unwrap();
     }
@@ -1429,7 +1133,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            find_schedule(&net, a, &opts),
+            find(&net, a, &opts),
             Err(ScheduleError::SearchBudgetExhausted { .. })
         ));
     }
@@ -1460,9 +1164,7 @@ mod tests {
         let a = net.transition_by_name("a").unwrap();
         let opts = ScheduleOptions::default();
         let budget = SearchBudget::unlimited().with_max_steps(20);
-        let err = SearchContext::new(&net)
-            .find_schedule_with_stats_budgeted(&net, a, &opts, &budget)
-            .unwrap_err();
+        let err = find_budgeted(&net, a, &opts, &budget).unwrap_err();
         match err {
             ScheduleError::BudgetExhausted {
                 source,
@@ -1483,9 +1185,7 @@ mod tests {
         let a = net.transition_by_name("a").unwrap();
         let opts = ScheduleOptions::default();
         let budget = SearchBudget::unlimited().with_deadline(std::time::Instant::now());
-        let err = SearchContext::new(&net)
-            .find_schedule_with_stats_budgeted(&net, a, &opts, &budget)
-            .unwrap_err();
+        let err = find_budgeted(&net, a, &opts, &budget).unwrap_err();
         assert!(matches!(
             err,
             ScheduleError::BudgetExhausted {
@@ -1504,9 +1204,7 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         flag.store(true, Ordering::Relaxed);
         let budget = SearchBudget::unlimited().with_cancel(flag);
-        let err = SearchContext::new(&net)
-            .find_schedule_with_stats_budgeted(&net, a, &ScheduleOptions::default(), &budget)
-            .unwrap_err();
+        let err = find_budgeted(&net, a, &ScheduleOptions::default(), &budget).unwrap_err();
         assert!(matches!(
             err,
             ScheduleError::BudgetExhausted {
@@ -1518,22 +1216,19 @@ mod tests {
 
     #[test]
     fn unarmed_budget_changes_nothing() {
-        // The same searches, with and without an (unlimited) budget, must
-        // produce identical schedules and statistics.
+        // The same searches, unlimited and under an armed budget that
+        // never trips, must produce identical schedules and statistics.
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let armed = SearchBudget::unlimited()
+            .with_deadline(std::time::Instant::now() + std::time::Duration::from_secs(3600))
+            .with_cancel(Arc::new(AtomicBool::new(false)));
         for net in [figure8(), divider_chain(2, 3)] {
             let a = net.transition_by_name("a").unwrap();
             let opts = ScheduleOptions::default();
-            let context = SearchContext::new(&net);
-            let plain = context.find_schedule_with_stats(&net, a, &opts).unwrap();
-            let budgeted = context
-                .find_schedule_with_stats_budgeted(&net, a, &opts, &SearchBudget::unlimited())
-                .unwrap();
-            assert_eq!(plain.1, budgeted.1);
-            assert_eq!(
-                plain.0.involved_transitions(),
-                budgeted.0.involved_transitions()
-            );
-            assert_eq!(plain.0.num_nodes(), budgeted.0.num_nodes());
+            let plain = find_with_stats(&net, a, &opts).unwrap();
+            let budgeted = find_budgeted(&net, a, &opts, &armed).unwrap();
+            assert_eq!(plain, budgeted);
         }
     }
 
@@ -1544,9 +1239,7 @@ mod tests {
         let budget = SearchBudget::unlimited()
             .with_max_steps(1_000_000)
             .with_deadline(std::time::Instant::now() + std::time::Duration::from_secs(60));
-        let (s, _) = SearchContext::new(&net)
-            .find_schedule_with_stats_budgeted(&net, a, &ScheduleOptions::default(), &budget)
-            .unwrap();
+        let (s, _) = find_budgeted(&net, a, &ScheduleOptions::default(), &budget).unwrap();
         s.validate(&net).unwrap();
     }
 }

@@ -1,7 +1,7 @@
 //! Error types for the scheduler.
 
 use crate::budget::BudgetStop;
-use qss_petri::{PlaceId, TransitionId};
+use qss_petri::TransitionId;
 use std::fmt;
 
 /// Convenient result alias used throughout the crate.
@@ -41,14 +41,10 @@ pub enum ScheduleError {
     /// The net has no base of T-invariants, hence no cyclic schedule
     /// exists (Sec. 5.5.2).
     NoTInvariants,
-    /// The structural pre-pass proved a place unbounded under the
-    /// internal transitions alone, so the search was rejected before it
-    /// started (a [`SearchContext`](crate::SearchContext) built with a
-    /// structural report fast-rejects such nets).
-    StructurallyUnbounded(PlaceId),
-    /// The structural pre-pass proved the requested source transition can
-    /// never fire, so no schedule for it can exist.
-    StructurallyDead(TransitionId),
+    /// The requested source transition cannot fire at the initial
+    /// marking (its preset is not marked), so no schedule rooted there
+    /// exists.
+    SourceNotEnabled(TransitionId),
     /// A computed set of schedules is not independent, so it cannot be
     /// executed with statically known buffer bounds.
     NotIndependent {
@@ -91,14 +87,9 @@ impl fmt::Display for ScheduleError {
             ScheduleError::NoTInvariants => {
                 write!(f, "the net has no T-invariants, so no cyclic schedule exists")
             }
-            ScheduleError::StructurallyUnbounded(p) => write!(
+            ScheduleError::SourceNotEnabled(t) => write!(
                 f,
-                "place {p} is structurally unbounded under internal transitions alone; \
-                 the net was rejected before search"
-            ),
-            ScheduleError::StructurallyDead(t) => write!(
-                f,
-                "source transition {t} is structurally dead (it can never fire), \
+                "source transition {t} is not enabled at the initial marking, \
                  so no schedule for it exists"
             ),
             ScheduleError::NotIndependent { first, second } => write!(
@@ -135,8 +126,7 @@ mod tests {
                 steps: 4096,
             },
             ScheduleError::NoTInvariants,
-            ScheduleError::StructurallyUnbounded(PlaceId::new(2)),
-            ScheduleError::StructurallyDead(TransitionId::new(3)),
+            ScheduleError::SourceNotEnabled(TransitionId::new(3)),
             ScheduleError::NotIndependent {
                 first: TransitionId::new(0),
                 second: TransitionId::new(1),

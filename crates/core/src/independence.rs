@@ -80,7 +80,8 @@ pub fn channel_bounds(schedules: &[Schedule], net: &PetriNet) -> BTreeMap<PlaceI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ep::{find_schedule, ScheduleOptions};
+    use crate::ep::tests::find;
+    use crate::ep::ScheduleOptions;
     use qss_petri::{NetBuilder, TransitionKind};
 
     /// Figure 5: two independent reactive chains sharing the idle place p0.
@@ -151,8 +152,8 @@ mod tests {
         let net = figure5();
         let a = net.transition_by_name("a").unwrap();
         let d = net.transition_by_name("d").unwrap();
-        let sa = find_schedule(&net, a, &ScheduleOptions::default()).unwrap();
-        let sd = find_schedule(&net, d, &ScheduleOptions::default()).unwrap();
+        let sa = find(&net, a, &ScheduleOptions::default()).unwrap();
+        let sd = find(&net, d, &ScheduleOptions::default()).unwrap();
         sa.validate(&net).unwrap();
         sd.validate(&net).unwrap();
         assert!(are_independent(&sa, &sd, &net));
@@ -164,8 +165,8 @@ mod tests {
         let net = figure6();
         let a = net.transition_by_name("a").unwrap();
         let d = net.transition_by_name("d").unwrap();
-        let sa = find_schedule(&net, a, &ScheduleOptions::default()).unwrap();
-        let sd = find_schedule(&net, d, &ScheduleOptions::default()).unwrap();
+        let sa = find(&net, a, &ScheduleOptions::default()).unwrap();
+        let sd = find(&net, d, &ScheduleOptions::default()).unwrap();
         sa.validate(&net).unwrap();
         sd.validate(&net).unwrap();
         // Each schedule has an intermediate await node at which the shared
@@ -181,8 +182,8 @@ mod tests {
         let net = figure5();
         let a = net.transition_by_name("a").unwrap();
         let d = net.transition_by_name("d").unwrap();
-        let sa = find_schedule(&net, a, &ScheduleOptions::default()).unwrap();
-        let sd = find_schedule(&net, d, &ScheduleOptions::default()).unwrap();
+        let sa = find(&net, a, &ScheduleOptions::default()).unwrap();
+        let sd = find(&net, d, &ScheduleOptions::default()).unwrap();
         let bounds = channel_bounds(&[sa, sd], &net);
         let p1 = net.place_by_name("p1").unwrap();
         let p0 = net.place_by_name("p0").unwrap();
@@ -207,8 +208,8 @@ mod tests {
         let net = bl.build().unwrap();
         let a = net.transition_by_name("a").unwrap();
         let c = net.transition_by_name("c").unwrap();
-        let sa = find_schedule(&net, a, &ScheduleOptions::default()).unwrap();
-        let sc = find_schedule(&net, c, &ScheduleOptions::default()).unwrap();
+        let sa = find(&net, a, &ScheduleOptions::default()).unwrap();
+        let sc = find(&net, c, &ScheduleOptions::default()).unwrap();
         assert!(are_independent(&sa, &sc, &net));
     }
 }

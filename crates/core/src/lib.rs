@@ -12,10 +12,12 @@
 //!
 //! The main entry points are:
 //!
-//! * [`find_schedule`] — compute the schedule of one uncontrollable source
-//!   transition with the EP/EP_ECS search of Sec. 5,
+//! * [`SearchContext::find_schedule_profiled`] — compute the schedule of
+//!   one uncontrollable source transition with the EP/EP_ECS search of
+//!   Sec. 5,
 //! * [`schedule_system`] — compute schedules for every uncontrollable
-//!   source of a linked system and check their independence,
+//!   source of a linked system (sequentially or in parallel) and check
+//!   their independence,
 //! * [`independence`] — independence and channel-bound analysis (Sec. 4.3),
 //! * [`termination`] — the place-bound and irrelevant-marking pruning
 //!   criteria (Sec. 4.4).
@@ -24,7 +26,7 @@
 //!
 //! ```
 //! use qss_petri::{NetBuilder, TransitionKind};
-//! use qss_core::{find_schedule, ScheduleOptions};
+//! use qss_core::{ScheduleOptions, SearchBudget, SearchContext, SearchProfile};
 //!
 //! // in -> p -> consume (a trivial reactive pipeline)
 //! let mut b = NetBuilder::new("tiny");
@@ -35,7 +37,13 @@
 //! b.arc_p2t(p, t, 1);
 //! let net = b.build().unwrap();
 //!
-//! let schedule = find_schedule(&net, src, &ScheduleOptions::default())?;
+//! let (schedule, _stats) = SearchContext::new(&net).find_schedule_profiled(
+//!     &net,
+//!     src,
+//!     &ScheduleOptions::default(),
+//!     &SearchBudget::unlimited(),
+//!     &mut SearchProfile::default(),
+//! )?;
 //! assert!(schedule.is_single_source(&net));
 //! # Ok::<(), qss_core::ScheduleError>(())
 //! ```
@@ -55,15 +63,11 @@ pub mod termination;
 
 pub use budget::{BudgetChecker, BudgetConfig, BudgetStop, SearchBudget, CHECK_INTERVAL};
 pub use ep::{
-    find_schedule, find_schedule_with_stats, schedule_system, schedule_system_parallel,
-    schedule_system_parallel_profiled, schedule_system_parallel_with_context,
-    schedule_system_parallel_with_context_budgeted, schedule_system_profiled,
-    schedule_system_with_context, schedule_system_with_context_budgeted, ScheduleOptions,
-    SearchContext, SearchProfile, SearchStats, SystemSchedules, SEARCH_THREAD_STACK_BYTES,
+    schedule_system, ScheduleOptions, SearchContext, SearchProfile, SearchStats, SystemSchedules,
+    SEARCH_THREAD_STACK_BYTES,
 };
 pub use error::{Result, ScheduleError};
 pub use independence::{are_independent, channel_bounds, is_independent_set};
-pub use qss_petri::{KernelKind, KernelScratch, NetKernels};
 pub use run::{execute_run, RunTrace};
 pub use schedule::{NodeId, Schedule, ScheduleNode};
 pub use termination::{PathTracker, Termination, TerminationKind};

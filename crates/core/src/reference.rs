@@ -18,10 +18,11 @@ use crate::termination::Termination;
 use qss_petri::{EcsId, EcsInfo, Marking, PetriNet, TransitionId, TransitionKind};
 use std::collections::BTreeMap;
 
-/// Reference counterpart of [`crate::find_schedule`].
+/// Reference counterpart of [`crate::SearchContext::find_schedule_profiled`],
+/// without the statistics.
 ///
 /// # Errors
-/// Same contract as [`crate::find_schedule`].
+/// Same contract as [`crate::SearchContext::find_schedule_profiled`].
 pub fn find_schedule(
     net: &PetriNet,
     source: TransitionId,
@@ -30,10 +31,11 @@ pub fn find_schedule(
     find_schedule_with_stats(net, source, options).map(|(s, _)| s)
 }
 
-/// Reference counterpart of [`crate::find_schedule_with_stats`].
+/// Reference counterpart of [`crate::SearchContext::find_schedule_profiled`]
+/// under an unlimited budget.
 ///
 /// # Errors
-/// Same contract as [`crate::find_schedule_with_stats`].
+/// Same contract as [`crate::SearchContext::find_schedule_profiled`].
 pub fn find_schedule_with_stats(
     net: &PetriNet,
     source: TransitionId,

@@ -121,7 +121,8 @@ pub fn execute_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ep::{find_schedule, ScheduleOptions};
+    use crate::ep::tests::find;
+    use crate::ep::ScheduleOptions;
     use qss_petri::{NetBuilder, PetriNet, TransitionKind};
 
     fn two_source_net() -> PetriNet {
@@ -145,8 +146,8 @@ mod tests {
         let net = two_source_net();
         let a = net.transition_by_name("a").unwrap();
         let c = net.transition_by_name("c").unwrap();
-        let sa = find_schedule(&net, a, &ScheduleOptions::default()).unwrap();
-        let sc = find_schedule(&net, c, &ScheduleOptions::default()).unwrap();
+        let sa = find(&net, a, &ScheduleOptions::default()).unwrap();
+        let sc = find(&net, c, &ScheduleOptions::default()).unwrap();
         let trace = execute_run(&net, &[sa, sc], &[a, c, a, a, c], |_, _, _| 0).unwrap();
         // Every reaction fires the source and its consumer.
         assert_eq!(trace.fired.len(), 10);
@@ -158,7 +159,7 @@ mod tests {
         let net = two_source_net();
         let a = net.transition_by_name("a").unwrap();
         let c = net.transition_by_name("c").unwrap();
-        let sa = find_schedule(&net, a, &ScheduleOptions::default()).unwrap();
+        let sa = find(&net, a, &ScheduleOptions::default()).unwrap();
         let err = execute_run(&net, &[sa], &[c], |_, _, _| 0).unwrap_err();
         assert!(matches!(err, ScheduleError::RunFailed(_)));
     }
@@ -183,7 +184,7 @@ mod tests {
         let a = net.transition_by_name("a").unwrap();
         let yes = net.transition_by_name("yes").unwrap();
         let no = net.transition_by_name("no").unwrap();
-        let s = find_schedule(&net, a, &ScheduleOptions::default()).unwrap();
+        let s = find(&net, a, &ScheduleOptions::default()).unwrap();
         // Always pick the edge carrying `no` when there is a choice.
         let trace = execute_run(&net, std::slice::from_ref(&s), &[a, a], |_, _, edges| {
             edges.iter().position(|(t, _)| *t == no).unwrap_or(0)

@@ -40,7 +40,6 @@ pub mod fingerprint;
 pub mod fx;
 pub mod ids;
 pub mod invariant;
-pub mod kernel;
 pub mod marking;
 pub mod net;
 pub mod reach;
@@ -57,7 +56,6 @@ pub use invariant::{
     incidence_matrix, p_invariant_basis, p_invariant_basis_dense, p_invariant_elimination,
     t_invariant_basis, t_invariant_basis_dense, IncidenceMatrix, PInvariant, TInvariant,
 };
-pub use kernel::{CellWidth, EnabledSet, KernelKind, KernelScratch, NetKernels};
 pub use marking::{format_marking, marking_hash, place_count_hash, Marking};
 pub use net::{NetBuilder, PetriNet, Place, PlaceKind, Transition, TransitionKind};
 pub use reach::{ReachabilityGraph, ReachabilityLimits};

@@ -204,8 +204,14 @@ mod tests {
         let net = b.build().unwrap();
         let context = Arc::new(SearchContext::new(&net));
         let source = net.transition_by_name("in").unwrap();
-        let schedule = context
-            .find_schedule(&net, source, &qss::ScheduleOptions::default())
+        let (schedule, _) = context
+            .find_schedule_profiled(
+                &net,
+                source,
+                &qss::ScheduleOptions::default(),
+                &qss::SearchBudget::unlimited(),
+                &mut qss::SearchProfile::default(),
+            )
             .unwrap();
         SharedSearch {
             schedules: Arc::new(SystemSchedules {

@@ -530,22 +530,15 @@ fn run_search(
     deadline: Option<Instant>,
 ) -> Result<SystemSchedules, WireError> {
     let budget = linked.config.budget.to_budget().and_deadline(deadline);
-    let result = if linked.config.parallel_schedule {
-        qss::core::schedule_system_parallel_with_context_budgeted(
-            &linked.system,
-            context,
-            &linked.config.schedule,
-            &budget,
-        )
-    } else {
-        qss::core::schedule_system_with_context_budgeted(
-            &linked.system,
-            context,
-            &linked.config.schedule,
-            &budget,
-        )
-    };
-    result.map_err(|e| WireError::from(QssError::from(e)))
+    qss::schedule_system(
+        &linked.system,
+        context,
+        &linked.config.schedule,
+        &budget,
+        linked.config.parallel_schedule,
+    )
+    .map(|(schedules, _)| schedules)
+    .map_err(|e| WireError::from(QssError::from(e)))
 }
 
 /// `{"fingerprint": ..., ["cached": ...,] "artifact": ...}`.

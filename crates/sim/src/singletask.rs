@@ -300,8 +300,25 @@ mod tests {
     use super::*;
     use crate::multitask::{run_multitask, MultiTaskConfig};
     use crate::pfc::{pfc_events, pfc_expected_outputs, pfc_system, PfcParams};
-    use qss_core::{schedule_system, ScheduleOptions};
+    use qss_core::{
+        schedule_system, ScheduleOptions, SearchBudget, SearchContext, SystemSchedules,
+    };
     use qss_flowc::{parse_process, SystemSpec};
+
+    /// The schedules of `system` under the default options.
+    fn schedule_default(system: &LinkedSystem) -> SystemSchedules {
+        let context = SearchContext::new(&system.net);
+        let budget = SearchBudget::unlimited();
+        schedule_system(
+            system,
+            &context,
+            &ScheduleOptions::default(),
+            &budget,
+            false,
+        )
+        .unwrap()
+        .0
+    }
 
     fn pipeline_system() -> LinkedSystem {
         let producer = parse_process(
@@ -336,7 +353,7 @@ mod tests {
     #[test]
     fn pipeline_single_task_matches_multitask() {
         let system = pipeline_system();
-        let schedules = schedule_system(&system, &ScheduleOptions::default()).unwrap();
+        let schedules = schedule_default(&system);
         let events: Vec<EnvEvent> = (1..=5)
             .map(|i| EnvEvent::new("producer", "trigger", i))
             .collect();
@@ -362,7 +379,7 @@ mod tests {
     fn pfc_single_task_is_functionally_correct_and_faster() {
         let params = PfcParams::tiny();
         let system = pfc_system(&params).unwrap();
-        let schedules = schedule_system(&system, &ScheduleOptions::default()).unwrap();
+        let schedules = schedule_default(&system);
         let events = pfc_events(4);
         let single = run_singletask(
             &system,

@@ -4,7 +4,7 @@
 //! Run with `cargo run --example divisors`.
 
 use qss_codegen::{generate_task, TaskOptions};
-use qss_core::{schedule_system, ScheduleOptions};
+use qss_core::{schedule_system, ScheduleOptions, SearchBudget, SearchContext};
 use qss_flowc::{compile, link, parse_process, SystemSpec};
 use qss_petri::dot::to_dot;
 use qss_sim::{run_singletask, CycleCostModel, EnvEvent, SingleTaskConfig};
@@ -29,7 +29,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // scheduling the uncontrollable `in` port.
     let spec = SystemSpec::new("divisors_system").with_process(process);
     let system = link(&spec)?;
-    let schedules = schedule_system(&system, &ScheduleOptions::default())?;
+    let context = SearchContext::new(&system.net);
+    let (schedules, _profile) = schedule_system(
+        &system,
+        &context,
+        &ScheduleOptions::default(),
+        &SearchBudget::unlimited(),
+        false,
+    )?;
     let schedule = &schedules.schedules[0];
     println!(
         "schedule for `divisors.in`: {} nodes, {} edges",

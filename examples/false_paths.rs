@@ -4,7 +4,10 @@
 //!
 //! Run with `cargo run --example false_paths`.
 
-use qss_core::{schedule_system, ScheduleOptions};
+use qss_core::{
+    schedule_system, ScheduleError, ScheduleOptions, SearchBudget, SearchContext, SystemSchedules,
+};
+use qss_flowc::LinkedSystem;
 use qss_flowc::{examples, link, parse_process, SystemSpec};
 
 fn build(
@@ -41,10 +44,24 @@ fn build(
     link(&spec)
 }
 
+/// The schedules of `system` under the default options.
+fn schedule(system: &LinkedSystem) -> Result<SystemSchedules, ScheduleError> {
+    let context = SearchContext::new(&system.net);
+    let budget = SearchBudget::unlimited();
+    schedule_system(
+        system,
+        &context,
+        &ScheduleOptions::default(),
+        &budget,
+        false,
+    )
+    .map(|(schedules, _)| schedules)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The naive version: fixed-bound loops writing/reading c0 and c1.
     let naive = build(examples::FALSE_PATH_A, examples::FALSE_PATH_B, false)?;
-    match schedule_system(&naive, &ScheduleOptions::default()) {
+    match schedule(&naive) {
         Ok(_) => println!("naive version: unexpectedly schedulable"),
         Err(e) => {
             println!("naive version: NOT schedulable, as predicted by Sec. 7.2\n  reason: {e}")
@@ -57,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         examples::FALSE_PATH_B_SELECT,
         true,
     )?;
-    match schedule_system(&fixed, &ScheduleOptions::default()) {
+    match schedule(&fixed) {
         Ok(schedules) => {
             let s = &schedules.schedules[0];
             println!(

@@ -6,7 +6,7 @@
 //! Run with `cargo run --example irrelevance`.
 
 use qss_bench::experiments::divider_net;
-use qss_core::{find_schedule_with_stats, ScheduleOptions, TerminationKind};
+use qss_core::{ScheduleOptions, SearchBudget, SearchContext, SearchProfile, TerminationKind};
 
 fn main() {
     println!("divider net: transition b needs k tokens of p1, c needs k tokens of p2");
@@ -17,12 +17,15 @@ fn main() {
     println!("{}", "-".repeat(60));
     for k in [3u32, 5, 8, 13] {
         let (net, source) = divider_net(k);
+        let context = SearchContext::new(&net);
         let run = |termination| {
             let opts = ScheduleOptions {
                 termination,
                 ..Default::default()
             };
-            find_schedule_with_stats(&net, source, &opts)
+            let budget = SearchBudget::unlimited();
+            context
+                .find_schedule_profiled(&net, source, &opts, &budget, &mut SearchProfile::default())
                 .map(|(_, st)| format!("{} nodes", st.nodes_created))
                 .unwrap_or_else(|_| "no schedule".to_string())
         };

@@ -22,14 +22,11 @@
 //!
 //! Codes are stable across releases: tools may match on them. Severity
 //! reflects schedulability: *errors* are conditions under which the
-//! quasi-static search provably cannot succeed (the [`SearchContext`]
-//! built via [`LinkedArtifact::analyzed_context`] fast-rejects them
-//! before searching); *warnings* are structural defects that usually
-//! indicate a modelling bug but do not by themselves rule out a
-//! schedule.
-//!
-//! [`SearchContext`]: qss_core::SearchContext
-//! [`LinkedArtifact::analyzed_context`]: crate::LinkedArtifact::analyzed_context
+//! quasi-static search provably cannot succeed; *warnings* are structural
+//! defects that usually indicate a modelling bug but do not by themselves
+//! rule out a schedule. The report is diagnostics only: the search never
+//! consults it, so `LinkedArtifact::schedule` on a net with errors still
+//! runs and fails with its own typed error.
 
 use crate::error::QssError;
 use qss_petri::{PetriNet, PlaceId, StructuralReport, TransitionId};

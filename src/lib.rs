@@ -62,8 +62,8 @@ pub use pipeline::{
 // import covers a full pipeline run and the common escape hatches.
 pub use qss_codegen::{generate_task, GeneratedTask, TaskOptions, TaskStats};
 pub use qss_core::{
-    find_schedule, schedule_system, schedule_system_parallel, BudgetConfig, BudgetStop, Schedule,
-    ScheduleError, ScheduleOptions, SearchBudget, SearchContext, SearchProfile, SystemSchedules,
+    schedule_system, BudgetConfig, BudgetStop, Schedule, ScheduleError, ScheduleOptions,
+    SearchBudget, SearchContext, SearchProfile, SystemSchedules,
 };
 pub use qss_flowc::{
     link, parse_process, parse_system, FlowCError, LinkedSystem, PortClass, SystemSpec,

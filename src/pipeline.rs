@@ -25,10 +25,7 @@
 use crate::diagnostics::AnalysisReport;
 use crate::error::QssError;
 use qss_codegen::{generate_task, CodeCostModel, GeneratedTask};
-use qss_core::{
-    schedule_system_parallel_profiled, schedule_system_profiled, BudgetConfig, SearchBudget,
-    SearchContext, SearchProfile, SystemSchedules,
-};
+use qss_core::{schedule_system, BudgetConfig, SearchContext, SearchProfile, SystemSchedules};
 use qss_flowc::{parse_system, LinkedSystem, SystemSpec};
 use qss_petri::{NetAnalysis, StructuralLimits};
 use qss_sim::{
@@ -375,16 +372,6 @@ impl LinkedArtifact {
         AnalysisReport::build(net, structural, has_t)
     }
 
-    /// A [`SearchContext`] armed with the structural facts of `report`:
-    /// provably unbounded or dead nets fast-reject with a typed
-    /// [`ScheduleError`](qss_core::ScheduleError) before any search, and
-    /// proven place bounds pre-arm the marking-slab sizing. Pass it to
-    /// [`LinkedArtifact::schedule_with_context`]; the plain
-    /// [`LinkedArtifact::schedule`] stays analysis-free.
-    pub fn analyzed_context(&self, report: &AnalysisReport) -> SearchContext {
-        SearchContext::with_structural(&self.system.net, &report.structural)
-    }
-
     /// Compact JSON rendering of the artifact.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("artifact serialization is infallible")
@@ -405,61 +392,22 @@ impl LinkedArtifact {
     }
 
     /// Stage 2: computes one quasi-static schedule per uncontrollable
-    /// input and the static channel bounds, precomputing a reusable
-    /// [`SearchContext`].
+    /// input and the static channel bounds under the configuration's
+    /// search budget, precomputing a reusable [`SearchContext`].
     ///
     /// # Errors
     /// Returns a schedule-stage [`QssError`] if some input has no
-    /// single-source schedule (or the search budget runs out).
+    /// single-source schedule, or [`QssError::BudgetExhausted`] when the
+    /// search budget runs out.
     pub fn schedule(self) -> Result<ScheduleArtifact, QssError> {
         let context = Arc::new(SearchContext::new(&self.system.net));
-        self.schedule_with_context(context)
-    }
-
-    /// Stage 2 with a caller-provided [`SearchContext`] — the warm path
-    /// of a scheduling service whose context cache (keyed by
-    /// [`LinkedArtifact::fingerprint`], guarded by
-    /// [`LinkedArtifact::ordered_digest`]) already holds the per-net
-    /// analyses. `context` **must** have been computed from a net equal
-    /// to `self.system.net` id-for-id; the result is identical to
-    /// [`LinkedArtifact::schedule`], just without re-deriving the ECS
-    /// partition and T-invariant basis.
-    ///
-    /// # Errors
-    /// Same contract as [`LinkedArtifact::schedule`].
-    pub fn schedule_with_context(
-        self,
-        context: Arc<SearchContext>,
-    ) -> Result<ScheduleArtifact, QssError> {
-        let budget = self.config.budget.to_budget();
-        self.schedule_with_context_budgeted(context, &budget)
-    }
-
-    /// Stage 2 under an explicit runtime [`SearchBudget`] — how a service
-    /// combines the configuration's own [`BudgetConfig`] with a
-    /// per-request deadline or cancellation flag (see
-    /// [`SearchBudget::and_deadline`]). The budget passed here *replaces*
-    /// the one implied by `config.budget`; arm it with
-    /// `config.budget.to_budget()` first to combine both.
-    ///
-    /// # Errors
-    /// The contract of [`LinkedArtifact::schedule`] plus
-    /// [`QssError::BudgetExhausted`] when the budget runs out.
-    pub fn schedule_with_context_budgeted(
-        self,
-        context: Arc<SearchContext>,
-        budget: &SearchBudget,
-    ) -> Result<ScheduleArtifact, QssError> {
-        let (schedules, profile) = if self.config.parallel_schedule {
-            schedule_system_parallel_profiled(
-                &self.system,
-                &context,
-                &self.config.schedule,
-                budget,
-            )?
-        } else {
-            schedule_system_profiled(&self.system, &context, &self.config.schedule, budget)?
-        };
+        let (schedules, profile) = schedule_system(
+            &self.system,
+            &context,
+            &self.config.schedule,
+            &self.config.budget.to_budget(),
+            self.config.parallel_schedule,
+        )?;
         Ok(self
             .attach_schedules(schedules, context)
             .with_search_profile(profile))

@@ -1,28 +1,24 @@
 //! Differential tests: the incremental path-state EP engine
-//! (`qss_core::find_schedule_with_stats`) must be observationally
-//! identical to the retained recompute-from-scratch oracle
-//! (`qss_core::reference`) — same schedules (node for node, marking for
-//! marking), same search statistics, same channel bounds, same errors —
-//! across fixed paper fixtures, the divider family, the PFC case study
-//! and randomly generated nets (the dense default profile, the `wide`
-//! many-places/sparse-tokens profile that stresses the flat marking slab,
-//! and the `hub` hundreds-of-places profile that pushes the enabledness
-//! kernels into their sparse fallback).
+//! (`qss_core::SearchContext::find_schedule_profiled`) must be
+//! observationally identical to the retained recompute-from-scratch
+//! oracle (`qss_core::reference`) — same schedules (node for node,
+//! marking for marking), same search statistics, same channel bounds,
+//! same errors — across fixed paper fixtures, the divider family, the PFC
+//! case study and randomly generated nets (the dense default profile, the
+//! `wide` many-places/sparse-tokens profile that stresses the flat
+//! marking slab, and the `hub` hundreds-of-places profile with
+//! multi-member ECSs). Both engines sweep enabledness with the same
+//! scalar walk (`EcsInfo::enabled_ecs_into`).
 //!
-//! The suite also has a **kernel axis**: the scalar per-arc enabledness
-//! walk and the chunked need-row kernels (`KernelKind`) must explore
-//! byte-identical trees. In-process, `kernel_axis_agrees_on_all_profiles`
-//! pins the two engines against each other explicitly; in CI, the whole
-//! suite runs once with `QSS_KERNEL=scalar` and once with
-//! `QSS_KERNEL=chunked`, so every engine-vs-oracle case is exercised
-//! under both kernels at the release-job net count.
+//! Two fixtures outside the oracle's domain pin that the search rejects
+//! nets it cannot schedule with a typed error instead of panicking.
 
 use proptest::prelude::*;
 use qss_bench::experiments::divider_net;
 use qss_bench::testgen::{build_random, hub_net_strategy, random_net_strategy, wide_net_strategy};
 use qss_core::{
-    channel_bounds, find_schedule_with_stats, reference, KernelKind, ScheduleError,
-    ScheduleOptions, SearchContext, TerminationKind,
+    channel_bounds, reference, schedule_system, Result, Schedule, ScheduleError, ScheduleOptions,
+    SearchBudget, SearchContext, SearchProfile, SearchStats, TerminationKind,
 };
 use qss_petri::{
     structural_report, NetBuilder, PetriNet, StructuralLimits, TransitionId, TransitionKind,
@@ -39,9 +35,20 @@ fn differential_cases() -> u32 {
         .unwrap_or(256)
 }
 
+/// The incremental engine: one unbudgeted search on a fresh context.
+fn search(
+    net: &PetriNet,
+    source: TransitionId,
+    options: &ScheduleOptions,
+) -> Result<(Schedule, SearchStats)> {
+    let budget = SearchBudget::unlimited();
+    let mut profile = SearchProfile::default();
+    SearchContext::new(net).find_schedule_profiled(net, source, options, &budget, &mut profile)
+}
+
 /// Runs both engines under `options` and asserts identical outcomes.
 fn assert_engines_agree(net: &PetriNet, source: TransitionId, options: &ScheduleOptions) {
-    let incremental = find_schedule_with_stats(net, source, options);
+    let incremental = search(net, source, options);
     let oracle = reference::find_schedule_with_stats(net, source, options);
     match (&incremental, &oracle) {
         (Ok((s_inc, st_inc)), Ok((s_ref, st_ref))) => {
@@ -79,22 +86,6 @@ fn assert_engines_agree_all_profiles(net: &PetriNet, source: TransitionId) {
     for options in option_profiles() {
         assert_engines_agree(net, source, &options);
     }
-}
-
-/// Runs the incremental engine once per enabledness kernel and asserts
-/// byte-identical outcomes (schedules, stats, errors) — the in-process
-/// half of the kernel axis, independent of the `QSS_KERNEL` override.
-fn assert_kernels_agree(net: &PetriNet, source: TransitionId, options: &ScheduleOptions) {
-    let scalar = SearchContext::with_kernel(net, KernelKind::Scalar)
-        .find_schedule_with_stats(net, source, options);
-    let chunked = SearchContext::with_kernel(net, KernelKind::Chunked)
-        .find_schedule_with_stats(net, source, options);
-    assert_eq!(
-        scalar,
-        chunked,
-        "scalar and chunked kernels diverge on {}",
-        net.name()
-    );
 }
 
 /// The Figure 8(a) net of the paper.
@@ -154,7 +145,10 @@ fn engines_agree_on_pfc_system_and_channel_bounds() {
     }
     // Channel bounds derived through the production path must equal the
     // bounds computed from the oracle's schedules.
-    let schedules = qss_core::schedule_system(&system, &options).expect("PFC schedules");
+    let context = SearchContext::new(&system.net);
+    let budget = SearchBudget::unlimited();
+    let (schedules, _) =
+        schedule_system(&system, &context, &options, &budget, false).expect("PFC schedules");
     assert_eq!(
         schedules.channel_bounds,
         channel_bounds(&reference_schedules, &system.net)
@@ -224,10 +218,9 @@ proptest! {
     }
 
     /// The `hub` testgen profile: hundreds of places, high-fan-in hubs,
-    /// duplicated presets nesting choices into multi-member ECSs. Rows
-    /// this wide put the chunked kernels into their sparse CSR fallback;
-    /// the oracle pays O(depth × places) per node on them, so the node
-    /// budget is tighter than the other generative suites.
+    /// duplicated presets nesting choices into multi-member ECSs. The
+    /// oracle pays O(depth × places) per node on rows this wide, so the
+    /// node budget is tighter than the other generative suites.
     #[test]
     fn engines_agree_on_hub_nets(desc in hub_net_strategy()) {
         let (net, source) = build_random(&desc);
@@ -236,68 +229,11 @@ proptest! {
             assert_engines_agree(&net, source, &opts);
         }
     }
-
-    /// The kernel axis, pinned in-process: the scalar per-arc walk and
-    /// the chunked need-row kernels reach byte-identical outcomes on all
-    /// three net profiles under every option profile, regardless of what
-    /// `QSS_KERNEL` says (the contexts are built with explicit kinds).
-    #[test]
-    fn kernel_axis_agrees_on_all_profiles(
-        dense in random_net_strategy(),
-        wide in wide_net_strategy(),
-        hub in hub_net_strategy(),
-    ) {
-        for (desc, max_nodes) in [(&dense, 3_000), (&wide, 3_000), (&hub, 800)] {
-            let (net, source) = build_random(desc);
-            for base in option_profiles() {
-                let opts = ScheduleOptions { max_nodes, ..base };
-                assert_kernels_agree(&net, source, &opts);
-            }
-        }
-    }
-
-    /// The analysis-on/analysis-off pin: a context that adopted a
-    /// structural report behaves **byte-identically** to a plain context
-    /// unless the report's proofs fire — and when they do, the rejection
-    /// is the typed error the proof justifies, never a different search
-    /// outcome.
-    #[test]
-    fn structural_context_agrees_or_fast_rejects(desc in random_net_strategy()) {
-        let (net, source) = build_random(&desc);
-        let report = structural_report(&net, &StructuralLimits::default());
-        let plain = SearchContext::new(&net);
-        let gated = SearchContext::with_structural(&net, &report);
-        let opts = ScheduleOptions { max_nodes: 3_000, ..Default::default() };
-        let plain_result = plain.find_schedule_with_stats(&net, source, &opts);
-        let gated_result = gated.find_schedule_with_stats(&net, source, &opts);
-        match &gated_result {
-            Err(ScheduleError::StructurallyUnbounded(p)) => {
-                prop_assert!(
-                    report.unbounded_places().contains(p),
-                    "gate rejected on {p} without an unboundedness proof"
-                );
-            }
-            Err(ScheduleError::StructurallyDead(t)) => {
-                prop_assert!(
-                    report.is_dead(*t),
-                    "gate rejected on {t} without a deadness proof"
-                );
-            }
-            _ => prop_assert!(
-                gated_result == plain_result,
-                "structural context diverged from the plain context on {}",
-                net.name()
-            ),
-        }
-    }
 }
 
-/// A source whose preset place can never be marked: the dead fixpoint
-/// proves the source dead, and a structural-report context rejects the
-/// search with the typed error before expanding a single node. (The
-/// search engine itself assumes uncontrollable sources are always
-/// fireable — FlowC never gates a source behind a place — so this is a
-/// net only the structural gate can reject gracefully.)
+/// A source whose preset place can never be marked (the structural
+/// analyzer proves it dead): the search rejects it with a typed error
+/// before firing it at the root, instead of underflowing a token count.
 #[test]
 fn structural_gate_fast_rejects_dead_sources() {
     let mut bl = NetBuilder::new("deadsource");
@@ -315,18 +251,18 @@ fn structural_gate_fast_rejects_dead_sources() {
     let report = structural_report(&net, &StructuralLimits::default());
     assert!(report.is_dead(a), "fixture source should be provably dead");
 
-    let gated = SearchContext::with_structural(&net, &report);
-    let opts = ScheduleOptions::default();
-    assert_eq!(
-        gated.find_schedule_with_stats(&net, a, &opts).unwrap_err(),
-        ScheduleError::StructurallyDead(a)
-    );
+    for options in option_profiles() {
+        assert_eq!(
+            search(&net, a, &options).unwrap_err(),
+            ScheduleError::SourceNotEnabled(a)
+        );
+    }
 }
 
 /// A token pump (`p → t → 2·p`) behind an uncontrollable source: the
-/// internal sur-invariant cover proves `p` unbounded, and the gated
-/// context rejects with the typed error instead of burning the node
-/// budget discovering the divergence dynamically.
+/// structural analyzer proves `p` unbounded, and the plain search
+/// rejects the net with a typed error (it has no T-invariant, so no
+/// cyclic schedule) instead of panicking or burning its node budget.
 #[test]
 fn structural_gate_fast_rejects_unbounded_nets() {
     let mut bl = NetBuilder::new("pump");
@@ -342,39 +278,10 @@ fn structural_gate_fast_rejects_unbounded_nets() {
     let report = structural_report(&net, &StructuralLimits::default());
     assert_eq!(report.unbounded_places(), vec![p]);
 
-    let gated = SearchContext::with_structural(&net, &report);
-    assert_eq!(
-        gated
-            .find_schedule_with_stats(&net, s, &ScheduleOptions::default())
-            .unwrap_err(),
-        ScheduleError::StructurallyUnbounded(p)
-    );
-}
-
-/// When the report proves a bound for every place, the context pre-arms
-/// `TerminationKind::PlaceBounds` with the proven maximum.
-#[test]
-fn structural_context_pre_arms_proven_place_bounds() {
-    let mut bl = NetBuilder::new("ring");
-    let p1 = bl.place("p1", 1);
-    let p2 = bl.place("p2", 0);
-    let t1 = bl.transition("t1", TransitionKind::Internal);
-    let t2 = bl.transition("t2", TransitionKind::Internal);
-    bl.arc_p2t(p1, t1, 1);
-    bl.arc_t2p(t1, p2, 1);
-    bl.arc_p2t(p2, t2, 1);
-    bl.arc_t2p(t2, p1, 1);
-    let net = bl.build().unwrap();
-
-    let report = structural_report(&net, &StructuralLimits::default());
-    assert_eq!(report.max_marking_bound, Some(1));
-
-    let gated = SearchContext::with_structural(&net, &report);
-    assert_eq!(gated.structural_max_bound(), Some(1));
-    let armed = gated.pre_armed_place_bounds().expect("full cover pre-arms");
-    assert_eq!(
-        armed.termination,
-        TerminationKind::PlaceBounds { default: 1 }
-    );
-    assert_eq!(SearchContext::new(&net).pre_armed_place_bounds(), None);
+    for options in option_profiles() {
+        assert_eq!(
+            search(&net, s, &options).unwrap_err(),
+            ScheduleError::NoTInvariants
+        );
+    }
 }

@@ -7,7 +7,9 @@
 //! `SELECT` over the data channel and a `done` channel makes the network
 //! quasi-statically schedulable with finite buffers.
 
-use qss_core::{schedule_system, ScheduleError, ScheduleOptions};
+use qss_core::{
+    schedule_system, ScheduleError, ScheduleOptions, SearchBudget, SearchContext, SystemSchedules,
+};
 use qss_flowc::{examples, link, parse_process, LinkedSystem, SystemSpec};
 use qss_sim::{
     run_multitask, run_singletask, CycleCostModel, EnvEvent, MultiTaskConfig, SingleTaskConfig,
@@ -50,6 +52,16 @@ fn build(a_source: &str, b_source: &str, with_done: bool) -> LinkedSystem {
     link(&spec).unwrap()
 }
 
+/// The schedules of `system` under `options`.
+fn schedule(
+    system: &LinkedSystem,
+    options: &ScheduleOptions,
+) -> Result<SystemSchedules, ScheduleError> {
+    let context = SearchContext::new(&system.net);
+    schedule_system(system, &context, options, &SearchBudget::unlimited(), false)
+        .map(|(schedules, _)| schedules)
+}
+
 #[test]
 fn naive_coupled_loops_are_rejected() {
     let system = build(examples::FALSE_PATH_A, examples::FALSE_PATH_B, false);
@@ -57,7 +69,7 @@ fn naive_coupled_loops_are_rejected() {
         max_nodes: 20_000,
         ..Default::default()
     };
-    let err = schedule_system(&system, &options).unwrap_err();
+    let err = schedule(&system, &options).unwrap_err();
     assert!(matches!(
         err,
         ScheduleError::NoSchedule { .. } | ScheduleError::SearchBudgetExhausted { .. }
@@ -71,7 +83,7 @@ fn select_rewrite_is_schedulable_with_unit_buffers() {
         examples::FALSE_PATH_B_SELECT,
         true,
     );
-    let schedules = schedule_system(&system, &ScheduleOptions::default()).unwrap();
+    let schedules = schedule(&system, &ScheduleOptions::default()).unwrap();
     let schedule = &schedules.schedules[0];
     schedule.validate(&system.net).unwrap();
     assert!(schedule.is_single_source(&system.net));
@@ -94,7 +106,7 @@ fn select_rewrite_behaves_like_the_paper_schedule() {
         examples::FALSE_PATH_B_SELECT,
         true,
     );
-    let schedules = schedule_system(&system, &ScheduleOptions::default()).unwrap();
+    let schedules = schedule(&system, &ScheduleOptions::default()).unwrap();
     let events: Vec<EnvEvent> = (0..3).map(|i| EnvEvent::new("A", "start", i)).collect();
     let single = run_singletask(
         &system,

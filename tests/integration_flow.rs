@@ -4,8 +4,9 @@
 //! execution on both the multi-task baseline and the generated task.
 
 use qss::{
-    schedule_system, schedule_system_parallel, CostProfile, EnvEvent, Pipeline, PipelineConfig,
-    PortClass, QssError, ScheduleOptions, SystemSpec, TaskArtifact,
+    schedule_system, CostProfile, EnvEvent, LinkedSystem, Pipeline, PipelineConfig, PortClass,
+    QssError, ScheduleError, ScheduleOptions, SearchBudget, SearchContext, SearchProfile,
+    SystemSchedules, SystemSpec, TaskArtifact,
 };
 use qss_codegen::SegmentGraph;
 use qss_core::execute_run;
@@ -242,16 +243,48 @@ fn two_pair_system() -> qss_flowc::LinkedSystem {
     .unwrap()
 }
 
+/// `schedule_system` on a fresh context under an unlimited budget.
+fn schedule(
+    system: &LinkedSystem,
+    options: &ScheduleOptions,
+    parallel: bool,
+) -> Result<(SystemSchedules, SearchProfile), ScheduleError> {
+    let context = SearchContext::new(&system.net);
+    schedule_system(
+        system,
+        &context,
+        options,
+        &SearchBudget::unlimited(),
+        parallel,
+    )
+}
+
+/// The work counters of a profile: every row except the wall times.
+fn work_counters(profile: &SearchProfile) -> Vec<(&'static str, u64)> {
+    profile
+        .rows()
+        .into_iter()
+        .filter(|(name, _)| !name.ends_with("_micros"))
+        .collect()
+}
+
 #[test]
 fn parallel_scheduling_matches_sequential_results() {
     let system = two_pair_system();
     assert_eq!(system.uncontrollable_sources().len(), 2);
     let options = ScheduleOptions::default();
-    let sequential = schedule_system(&system, &options).unwrap();
-    let parallel = schedule_system_parallel(&system, &options).unwrap();
+    let (sequential, sequential_profile) = schedule(&system, &options, false).unwrap();
+    let (parallel, parallel_profile) = schedule(&system, &options, true).unwrap();
     assert_eq!(parallel.schedules, sequential.schedules);
     assert_eq!(parallel.channel_bounds, sequential.channel_bounds);
     assert_eq!(parallel.stats, sequential.stats);
+    // The merged per-thread profiles count exactly the sequential work.
+    assert_eq!(sequential_profile.searches, 2);
+    assert!(sequential_profile.nodes_expanded > 0);
+    assert_eq!(
+        work_counters(&parallel_profile),
+        work_counters(&sequential_profile)
+    );
 
     // The pipeline flag drives the same code path.
     let spec = qss::parse_system(
@@ -310,7 +343,7 @@ fn parallel_scheduling_reports_the_earliest_failure() {
     .unwrap();
     let system = qss::link(&spec).unwrap();
     let options = ScheduleOptions::default();
-    let sequential = schedule_system(&system, &options).unwrap_err();
-    let parallel = schedule_system_parallel(&system, &options).unwrap_err();
+    let sequential = schedule(&system, &options, false).unwrap_err();
+    let parallel = schedule(&system, &options, true).unwrap_err();
     assert_eq!(parallel, sequential);
 }

@@ -3,7 +3,7 @@
 //! substrate.
 
 use proptest::prelude::*;
-use qss_core::{find_schedule, ScheduleOptions};
+use qss_core::{schedule_system, ScheduleOptions, SearchBudget, SearchContext, SearchProfile};
 use qss_flowc::{link, parse_process, SystemSpec};
 use qss_petri::{
     place_degree, t_invariant_basis, EcsInfo, Marking, NetBuilder, PetriNet, PlaceId, TransitionId,
@@ -67,7 +67,15 @@ proptest! {
         for inv in t_invariant_basis(&net, 10_000) {
             prop_assert!(inv.is_valid_for(&net));
         }
-        let schedule = find_schedule(&net, src, &ScheduleOptions::default()).unwrap();
+        let (schedule, _) = SearchContext::new(&net)
+            .find_schedule_profiled(
+                &net,
+                src,
+                &ScheduleOptions::default(),
+                &SearchBudget::unlimited(),
+                &mut SearchProfile::default(),
+            )
+            .unwrap();
         prop_assert!(schedule.validate(&net).is_ok());
         prop_assert!(schedule.is_single_source(&net));
         // The static bound of every place never exceeds its degree plus the
@@ -151,7 +159,11 @@ proptest! {
             .with_channel("producer.data", "consumer.data", None)
             .unwrap();
         let system = link(&spec).unwrap();
-        let schedules = qss_core::schedule_system(&system, &ScheduleOptions::default()).unwrap();
+        let context = SearchContext::new(&system.net);
+        let budget = SearchBudget::unlimited();
+        let (schedules, _) =
+            schedule_system(&system, &context, &ScheduleOptions::default(), &budget, false)
+                .unwrap();
         let events: Vec<EnvEvent> = inputs
             .iter()
             .map(|&v| EnvEvent::new("producer", "trigger", v))

@@ -4,7 +4,7 @@
 
 use qss::{
     CostProfile, EnvEvent, LinkedArtifact, Pipeline, PipelineConfig, QssError, ScheduleArtifact,
-    ScheduleOptions, SimArtifact, SimReport, TaskArtifact,
+    ScheduleOptions, SearchBudget, SearchProfile, SimArtifact, SimReport, TaskArtifact,
 };
 use qss_core::{Schedule, ScheduleNode, SystemSchedules};
 use serde::{Deserialize, Serialize};
@@ -171,9 +171,15 @@ fn schedule_artifact_round_trips_and_rebuilds_its_context() {
     // The SearchContext is derived data: it is not serialized, but the
     // deserialized artifact has a working one (same ECS partition).
     let source = back.system.uncontrollable_sources()[0];
-    let schedule = back
+    let (schedule, _) = back
         .context()
-        .find_schedule(&back.system.net, source, &ScheduleOptions::default())
+        .find_schedule_profiled(
+            &back.system.net,
+            source,
+            &ScheduleOptions::default(),
+            &SearchBudget::unlimited(),
+            &mut SearchProfile::default(),
+        )
         .unwrap();
     assert_eq!(schedule, scheduled.schedules.schedules[0]);
     // And the rebuilt artifact continues through the remaining stages.
