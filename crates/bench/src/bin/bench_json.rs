@@ -25,7 +25,7 @@
 
 use proptest::{Strategy, TestRng};
 use qss_bench::experiments::divider_net;
-use qss_bench::testgen::{build_random, hub_net_strategy};
+use qss_bench::testgen::{ballast_source, build_random, hub_net_strategy};
 use qss_core::{
     reference, Schedule, ScheduleOptions, SearchBudget, SearchContext, SearchProfile,
     TerminationKind,
@@ -128,42 +128,6 @@ fn churn_step(scratch: &mut [u32], i: usize) {
     // the Vec-of-Markings shape, a slab append in the flat store. The
     // driver re-interns every eighth row to exercise dedup hits too.
     scratch[i % CHURN_WIDTH] = i as u32;
-}
-
-/// The `server/schedule_warm_vs_cold` workload: a two-stage hot path
-/// driven by the one uncontrollable input, inside a system with
-/// `ballast` further controllable-input processes. The ballast inflates
-/// the *net* (every process adds places, transitions and T-invariant
-/// rows, so `SearchContext::new` is expensive) while staying out of the
-/// single-source *schedule* (controllable inputs are only fired on
-/// request, so the reaction — and the returned artifact — stays small).
-/// That is the traffic shape where a context cache pays: big system,
-/// small per-request reaction.
-fn service_net_source(ballast: usize) -> String {
-    let mut src = String::from(
-        "SYSTEM warmcold {\n\
-         \x20   CHANNEL hot.snd -> relay.rcv;\n\
-         \x20   INPUT hot.rcv UNCONTROLLABLE;\n",
-    );
-    for i in 0..ballast {
-        let _ = writeln!(src, "    INPUT b{i}.rcv CONTROLLABLE;");
-    }
-    src.push_str("}\n");
-    for (name, body) in [("hot", "x + 1"), ("relay", "x * 2")] {
-        let _ = writeln!(
-            src,
-            "PROCESS {name} (In DPORT rcv, Out DPORT snd) {{\n    int x;\n    \
-             while (1) {{ READ_DATA(rcv, x, 1); WRITE_DATA(snd, {body}, 1); }}\n}}"
-        );
-    }
-    for i in 0..ballast {
-        let _ = writeln!(
-            src,
-            "PROCESS b{i} (In DPORT rcv, Out DPORT snd) {{\n    int x;\n    \
-             while (1) {{ READ_DATA(rcv, x, 1); WRITE_DATA(snd, x + {i}, 1); }}\n}}"
-        );
-    }
-    src
 }
 
 fn main() {
@@ -305,6 +269,42 @@ fn main() {
     }
 
     {
+        // The same analyses at a realistic width: a 48-process net of
+        // perfbench's wide template (143 places, 142 transitions), where a
+        // dense elimination's cubic terms show. The context row times the
+        // production `SearchContext::new` (ECS partition plus T-invariant
+        // basis) against the dense T-basis alone; the report row times the
+        // structural pre-pass against its dense-elimination oracle.
+        let source = ballast_source("ballast48", 46, 7);
+        let net = qss::Pipeline::from_source(&source)
+            .and_then(|pipeline| pipeline.link())
+            .expect("ballast system links")
+            .system
+            .net;
+        let (cnet, dnet, snet) = (net.clone(), net.clone(), net.clone());
+        push_case(
+            "analysis/context_ballast_48".to_string(),
+            Box::new(move || {
+                black_box(SearchContext::new(&net));
+            }),
+            Box::new(move || {
+                black_box(t_invariant_basis_dense(&cnet, 50_000));
+            }),
+        );
+        let limits = StructuralLimits::default();
+        let rlimits = limits.clone();
+        push_case(
+            "analysis/structural_report_ballast_48".to_string(),
+            Box::new(move || {
+                black_box(structural_report(&dnet, &limits));
+            }),
+            Box::new(move || {
+                black_box(structural_report_dense(&snet, &rlimits));
+            }),
+        );
+    }
+
+    {
         // The budget-overhead cases: the same searches with a fully armed
         // budget (deadline + cancellation flag, both unreachable) against
         // the plain unbudgeted call on the same context. The delta is the
@@ -369,8 +369,12 @@ fn main() {
         // disabled (`cache_capacity: 0`), so every request re-derives the
         // ECS partition and T-invariant basis — the per-request cost the
         // ContextCache exists to amortise. Protocol and search work are
-        // identical on both sides; the delta is context reuse alone.
-        let source = service_net_source(48);
+        // identical on both sides; the delta is context reuse alone. The
+        // system is a two-stage hot path driven by the one uncontrollable
+        // input plus 48 controllable-input ballast processes: a big net
+        // with a small per-request reaction, the traffic shape where a
+        // context cache pays.
+        let source = ballast_source("warmcold", 48, 0);
         let spawn = |cache_capacity: usize| {
             qss_server::Server::bind(qss_server::ServerConfig {
                 workers: 2,

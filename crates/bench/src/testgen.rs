@@ -229,6 +229,40 @@ pub fn build_random(desc: &RandomNet) -> (PetriNet, TransitionId) {
     (net, src)
 }
 
+/// FlowC source of a wide system: one uncontrollable two-stage hot path
+/// (`hot` → `relay`) plus `ballast` controllable-input echo processes —
+/// the template of perfbench's `serve_*` systems. Each ballast process is
+/// a small cycle with its own invariants, so the net (and every analysis
+/// over it) grows with `ballast` while the hot path's schedule stays
+/// small. `salt` changes body constants only, never the net.
+pub fn ballast_source(name: &str, ballast: usize, salt: u64) -> String {
+    use std::fmt::Write as _;
+    let mut src = format!(
+        "SYSTEM {name} {{\n    CHANNEL hot.snd -> relay.rcv;\n    INPUT hot.rcv UNCONTROLLABLE;\n"
+    );
+    for i in 0..ballast {
+        let _ = writeln!(src, "    INPUT b{i}.rcv CONTROLLABLE;");
+    }
+    src.push_str("}\n");
+    for (process, body) in [
+        ("hot", format!("x + {}", salt % 97 + 1)),
+        ("relay", "x * 2".to_string()),
+    ] {
+        let _ = writeln!(
+            src,
+            "PROCESS {process} (In DPORT rcv, Out DPORT snd) {{\n    int x;\n    while (1) {{ READ_DATA(rcv, x, 1); WRITE_DATA(snd, {body}, 1); }}\n}}"
+        );
+    }
+    for i in 0..ballast {
+        let _ = writeln!(
+            src,
+            "PROCESS b{i} (In DPORT rcv, Out DPORT snd) {{\n    int x;\n    while (1) {{ READ_DATA(rcv, x, 1); WRITE_DATA(snd, x + {}, 1); }}\n}}",
+            (salt.wrapping_add(i as u64 * 7919)) % 1000
+        );
+    }
+    src
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -138,8 +138,9 @@ pub struct StructuralReport {
     /// completion; only then can `internally_unbounded` be set.
     pub internal_complete: bool,
     /// The maximum proven bound over all places, present only when
-    /// *every* place has a proven bound — the value a narrow-cell marking
-    /// slab (u8/u16 rows) would size its cells by.
+    /// *every* place has a proven bound: the whole net is then
+    /// structurally bounded, and no reachable marking holds more than
+    /// this many tokens in any one place.
     pub max_marking_bound: Option<u32>,
     /// Transitions that provably can never fire, in id order.
     pub dead_transitions: Vec<TransitionId>,
@@ -237,22 +238,34 @@ fn build_report(
     let (full_cover, bounds_complete) = surinvariant_cover(net, &all, limits.row_cap);
     let (internal_cover, internal_complete) = surinvariant_cover(net, &internal, limits.row_cap);
 
-    let mut places = Vec::with_capacity(np);
-    for p in 0..np {
-        let bound = full_cover
+    // A generator `y` bounds each place of its support by `(y·M0)/y[p]`;
+    // a place's bound is the least over the generators covering it.
+    let mut bounds: Vec<Option<u32>> = vec![None; np];
+    for y in &full_cover {
+        let conserved: u128 = y
             .iter()
-            .filter(|y| y[p] > 0)
-            .map(|y| {
-                let conserved: u64 = y.iter().zip(m0).map(|(&w, &m)| w * m as u64).sum();
-                u32::try_from(conserved / y[p]).unwrap_or(u32::MAX)
-            })
-            .min();
-        let internally_unbounded = internal_complete && internal_cover.iter().all(|y| y[p] == 0);
-        places.push(PlaceFacts {
-            bound,
-            internally_unbounded,
-        });
+            .map(|&(p, w)| w as u128 * m0[p.index()] as u128)
+            .sum();
+        for &(p, w) in y {
+            let bound = u32::try_from(conserved / w as u128).unwrap_or(u32::MAX);
+            let slot = &mut bounds[p.index()];
+            *slot = Some(slot.map_or(bound, |b| b.min(bound)));
+        }
     }
+    let mut internally_covered = vec![false; np];
+    for y in &internal_cover {
+        for &(p, _) in y {
+            internally_covered[p.index()] = true;
+        }
+    }
+    let places: Vec<PlaceFacts> = bounds
+        .into_iter()
+        .zip(internally_covered)
+        .map(|(bound, covered)| PlaceFacts {
+            bound,
+            internally_unbounded: internal_complete && !covered,
+        })
+        .collect();
     let max_marking_bound = places
         .iter()
         .map(|f| f.bound)
@@ -579,6 +592,32 @@ mod tests {
             EnumerationStatus::GaveUp { examined: 0 }
         );
         assert!(report.siphons.components.is_empty());
+    }
+
+    #[test]
+    fn coprime_weight_chain_is_not_proven_unbounded() {
+        // src → p0 –997→ t0 → p1 –991→ t1 → … → p7 –947→ t7: cancelling
+        // the chain multiplies its eight coprime weights, which overflows
+        // i64. The all-ones vector covers every place of the internal
+        // net, so the overflow may only leave the cover incomplete; it
+        // must neither panic nor wrap into an unboundedness proof.
+        let primes = [997, 991, 983, 977, 971, 967, 953, 947];
+        let mut bld = NetBuilder::new("coprime");
+        let places: Vec<PlaceId> = (0..primes.len())
+            .map(|i| bld.place(format!("p{i}"), 0))
+            .collect();
+        let src = bld.transition("src", TransitionKind::UncontrollableSource);
+        bld.arc_t2p(src, places[0], 1);
+        for (i, &w) in primes.iter().enumerate() {
+            let t = bld.transition(format!("t{i}"), TransitionKind::Internal);
+            bld.arc_p2t(places[i], t, w);
+            if let Some(&next) = places.get(i + 1) {
+                bld.arc_t2p(t, next, 1);
+            }
+        }
+        let net = bld.build().unwrap();
+        let report = structural_report(&net, &StructuralLimits::default());
+        assert!(report.unbounded_places().is_empty());
     }
 
     #[test]

@@ -122,6 +122,14 @@ fn analyze_matches_the_golden_report_and_deny_warnings_gates() {
     let report = qss::AnalysisReport::from_json(&stdout).unwrap();
     assert!(report.diagnostics.is_empty(), "clean sample has findings");
     assert!(output.stderr.is_empty());
+    // Its report — P-invariants, sur-invariant place bounds and all —
+    // matches the golden file byte for byte.
+    let golden =
+        std::fs::read_to_string(repo_file("samples/pipeline.analysis.golden.json")).unwrap();
+    assert_eq!(
+        stdout, golden,
+        "pipeline analysis drifted from the golden file"
+    );
 
     // Deadlocked cycle: the JSON report matches the golden file byte
     // for byte, diagnostics go to stderr, and warnings alone still

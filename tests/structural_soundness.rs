@@ -10,14 +10,22 @@
 //!   graph is ever reported dead,
 //! * a place reported never-marked never carries a token.
 //!
+//! The same families, plus a 48-process net of perfbench's wide
+//! template, also pin the sparse analyses to their dense oracles: equal
+//! T- and P-invariant bases (same invariants, same order) and an equal
+//! structural report.
+//!
 //! The case count follows `QSS_DIFFERENTIAL_NETS` (default 256), the
 //! same knob the differential suite uses, so CI can pin both together.
 
 use proptest::prelude::*;
-use qss_bench::testgen::{build_random, random_net_strategy, wide_net_strategy};
+use qss_bench::testgen::{
+    ballast_source, build_random, hub_net_strategy, random_net_strategy, wide_net_strategy,
+};
 use qss_petri::{
-    incidence_matrix, structural_report, PetriNet, PlaceId, ReachabilityGraph, ReachabilityLimits,
-    StructuralLimits, TransitionId,
+    incidence_matrix, p_invariant_basis, p_invariant_basis_dense, structural_report,
+    structural_report_dense, t_invariant_basis, t_invariant_basis_dense, PetriNet, PlaceId,
+    ReachabilityGraph, ReachabilityLimits, StructuralLimits, TransitionId,
 };
 use std::collections::HashSet;
 
@@ -87,6 +95,38 @@ fn assert_report_is_sound(net: &PetriNet) {
     }
 }
 
+/// Hub nets run one oracle case in 32: with 96–256 places, mostly
+/// isolated ones that are each a P-invariant, the dense oracles' pairwise
+/// minimal-support filter costs about 0.25 s per net in release and
+/// seconds in debug.
+fn hub_oracle_cases() -> u32 {
+    (soundness_cases() / 32).max(1)
+}
+
+/// Checks the sparse T-basis, P-basis and structural report of `net`
+/// against the dense oracles.
+fn assert_matches_dense_oracles(net: &PetriNet) {
+    let limits = StructuralLimits::default();
+    assert_eq!(
+        t_invariant_basis(net, limits.row_cap),
+        t_invariant_basis_dense(net, limits.row_cap),
+        "T-invariant bases differ on {}",
+        net.name()
+    );
+    assert_eq!(
+        p_invariant_basis(net, limits.row_cap),
+        p_invariant_basis_dense(net, limits.row_cap),
+        "P-invariant bases differ on {}",
+        net.name()
+    );
+    assert_eq!(
+        structural_report(net, &limits),
+        structural_report_dense(net, &limits),
+        "structural reports differ on {}",
+        net.name()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(soundness_cases()))]
 
@@ -101,6 +141,39 @@ proptest! {
         let (net, _source) = build_random(&desc);
         assert_report_is_sound(&net);
     }
+
+    #[test]
+    fn sparse_analyses_match_dense_oracles_on_random_nets(desc in random_net_strategy()) {
+        let (net, _source) = build_random(&desc);
+        assert_matches_dense_oracles(&net);
+    }
+
+    #[test]
+    fn sparse_analyses_match_dense_oracles_on_wide_nets(desc in wide_net_strategy()) {
+        let (net, _source) = build_random(&desc);
+        assert_matches_dense_oracles(&net);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(hub_oracle_cases()))]
+
+    #[test]
+    fn sparse_analyses_match_dense_oracles_on_hub_nets(desc in hub_net_strategy()) {
+        let (net, _source) = build_random(&desc);
+        assert_matches_dense_oracles(&net);
+    }
+}
+
+#[test]
+fn sparse_analyses_match_dense_oracles_on_a_48_process_ballast_net() {
+    let source = ballast_source("ballast48", 46, 7);
+    let linked = qss::Pipeline::from_source(&source)
+        .and_then(|pipeline| pipeline.link())
+        .expect("ballast system links");
+    let net = &linked.system.net;
+    assert_eq!(net.num_places(), 143);
+    assert_matches_dense_oracles(net);
 }
 
 #[test]
