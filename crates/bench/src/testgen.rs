@@ -263,9 +263,123 @@ pub fn ballast_source(name: &str, ballast: usize, salt: u64) -> String {
     src
 }
 
+/// FlowC source of a mixed data-control system — the template of
+/// perfbench's `compile_mixed` systems: a `split` process with one
+/// data-dependent `if/else` per branch onto two channels, one `SELECT`
+/// merge per branch reading its two arms at the unequal rates
+/// `select_rates[b]`, and a multi-rate tail that reads `tail_rate` items
+/// from every merge and feeds a divider reading `divider_rate` at a time.
+/// The schedule grows as `2^k` with `k = branches × tail_rate ×
+/// divider_rate`. `salt` picks the body constants only, never the net.
+///
+/// # Panics
+/// If `select_rates` does not hold exactly one pair per branch.
+pub fn mixed_source(
+    name: &str,
+    branches: u32,
+    select_rates: &[(u32, u32)],
+    tail_rate: u32,
+    divider_rate: u32,
+    salt: u64,
+) -> String {
+    use std::fmt::Write as _;
+    assert_eq!(
+        select_rates.len(),
+        branches as usize,
+        "one rate pair per branch"
+    );
+    // splitmix64 over the salt: uniform constants in `lo..=hi`.
+    let mut state = salt;
+    let mut constant = |lo: u64, hi: u64| -> u64 {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        lo + (z ^ (z >> 31)) % (hi - lo + 1)
+    };
+    let mut src = format!("SYSTEM {name} {{\n");
+    for b in 0..branches {
+        let _ = writeln!(src, "    CHANNEL split.a{b} -> merge{b}.a;");
+        let _ = writeln!(src, "    CHANNEL split.b{b} -> merge{b}.b;");
+        let _ = writeln!(src, "    CHANNEL merge{b}.o -> tail.i{b};");
+    }
+    src.push_str("    CHANNEL tail.o -> divider.i;\n");
+    src.push_str("    INPUT split.trigger UNCONTROLLABLE;\n}\n");
+
+    let mut ports = String::from("In DPORT trigger");
+    for b in 0..branches {
+        let _ = write!(ports, ", Out DPORT a{b}, Out DPORT b{b}");
+    }
+    let _ = writeln!(
+        src,
+        "PROCESS split ({ports}) {{\n    int x;\n    while (1) {{\n        READ_DATA(trigger, x, 1);"
+    );
+    for (b, &(ra, rb)) in select_rates.iter().enumerate() {
+        let modulus = constant(2, 5);
+        let residue = constant(0, modulus - 1);
+        let (c1, c2) = (constant(1, 9), constant(2, 5));
+        let _ = writeln!(
+            src,
+            "        if (x % {modulus} == {residue})\n            WRITE_DATA(a{b}, x + {c1}, {ra});\n        else\n            WRITE_DATA(b{b}, x * {c2}, {rb});"
+        );
+    }
+    src.push_str("    }\n}\n");
+
+    for (b, &(ra, rb)) in select_rates.iter().enumerate() {
+        let (c1, c2) = (constant(1, 7), constant(1, 7));
+        let _ = writeln!(
+            src,
+            "PROCESS merge{b} (In DPORT a, In DPORT b, Out DPORT o) {{\n    int v;\n    while (1) {{\n        switch (SELECT(a, {ra}, b, {rb})) {{\n            case 0: READ_DATA(a, v, {ra}); WRITE_DATA(o, v + {c1}, 1); break;\n            case 1: READ_DATA(b, v, {rb}); WRITE_DATA(o, v - {c2}, 1); break;\n        }}\n    }}\n}}"
+        );
+    }
+
+    let mut ports = String::new();
+    for b in 0..branches {
+        let _ = write!(ports, "In DPORT i{b}, ");
+    }
+    ports.push_str("Out DPORT o");
+    let _ = writeln!(
+        src,
+        "PROCESS tail ({ports}) {{\n    int v, s;\n    while (1) {{"
+    );
+    for b in 0..branches {
+        let _ = writeln!(
+            src,
+            "        READ_DATA(i{b}, v, {tail_rate});\n        s = s + v;"
+        );
+    }
+    src.push_str("        WRITE_DATA(o, s, 1);\n    }\n}\n");
+    let scale = constant(2, 9);
+    let _ = writeln!(
+        src,
+        "PROCESS divider (In DPORT i, Out DPORT out) {{\n    int v;\n    while (1) {{\n        READ_DATA(i, v, {divider_rate});\n        WRITE_DATA(out, v % {scale}, 1);\n    }}\n}}"
+    );
+    src
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mixed_source_links_and_keeps_the_net_under_salt() {
+        let shape = |salt| {
+            let src = mixed_source("m", 2, &[(1, 2), (3, 1)], 2, 2, salt);
+            let linked = qss::Pipeline::from_source(&src)
+                .and_then(|p| p.link())
+                .expect("the template links");
+            let net = &linked.system.net;
+            assert_eq!(net.uncontrollable_sources().len(), 1);
+            (net.num_places(), net.num_transitions())
+        };
+        // The salt moves body constants, not the net's shape.
+        assert_eq!(shape(1), shape(2));
+        assert_ne!(
+            mixed_source("m", 1, &[(2, 1)], 2, 2, 1),
+            mixed_source("m", 1, &[(2, 1)], 2, 2, 2)
+        );
+        assert_eq!(mixed_source("m", 1, &[(2, 1)], 2, 2, 7).lines().count(), 41);
+    }
 
     #[test]
     fn generated_nets_build_and_shrink_within_the_domain() {

@@ -115,7 +115,7 @@ pub fn generate_task(
             ..Default::default()
         },
         out: String::new(),
-        intra_channels: intra_channels.clone(),
+        intra_channels: &intra_channels,
     };
     emitter.emit(&name, schedule)?;
     let stats = emitter.stats;
@@ -136,7 +136,7 @@ struct Emitter<'a> {
     options: &'a TaskOptions,
     stats: TaskStats,
     out: String,
-    intra_channels: Vec<(String, u32)>,
+    intra_channels: &'a [(String, u32)],
 }
 
 impl<'a> Emitter<'a> {
@@ -164,7 +164,7 @@ impl<'a> Emitter<'a> {
     }
 
     /// The channel (if any) connected to the given port of a process.
-    fn channel_of_port(&self, process: &str, port: &str) -> Option<&qss_flowc::ChannelInfo> {
+    fn channel_of_port(&self, process: &str, port: &str) -> Option<&'a qss_flowc::ChannelInfo> {
         self.system.channels.iter().find(|c| {
             (c.from.0 == process && c.from.1 == port) || (c.to.0 == process && c.to.1 == port)
         })
@@ -195,7 +195,7 @@ impl<'a> Emitter<'a> {
         }
         if self.options.inline_communication {
             let _ = writeln!(self.out, "/* intra-task channel buffers */");
-            for (channel, size) in &self.intra_channels.clone() {
+            for (channel, size) in self.intra_channels {
                 if *size <= 1 {
                     let _ = writeln!(self.out, "int {};", self.channel_var(channel));
                     self.stats.num_statements += 1;
@@ -234,7 +234,7 @@ impl<'a> Emitter<'a> {
             self.stats.num_statements += 1;
         }
         if self.options.inline_communication {
-            for (channel, size) in &self.intra_channels.clone() {
+            for (channel, size) in self.intra_channels {
                 let var = self.channel_var(channel);
                 if *size <= 1 {
                     let _ = writeln!(self.out, "    {var} = 0;");
@@ -247,10 +247,11 @@ impl<'a> Emitter<'a> {
             }
         }
         // Per-process initialisation code runs once at start-up.
-        for process in &self.system.process_names {
-            if let Some(init) = self.system.init_code.get(process) {
-                for stmt in init.clone() {
-                    self.emit_stmt(&stmt, process, 1);
+        let system = self.system;
+        for process in &system.process_names {
+            if let Some(init) = system.init_code.get(process) {
+                for stmt in init {
+                    self.emit_stmt(stmt, process, 1);
                 }
             }
         }
@@ -261,8 +262,8 @@ impl<'a> Emitter<'a> {
 
     fn emit_run(&mut self, name: &str) -> Result<()> {
         let _ = writeln!(self.out, "void {name}_run(void) {{");
-        let segments: Vec<CodeSegment> = self.graph.segments.clone();
-        for segment in &segments {
+        let graph = self.graph;
+        for segment in &graph.segments {
             let _ = writeln!(self.out, "{}:", segment.label);
             self.emit_segment_node(segment, 0, 1)?;
         }
@@ -283,7 +284,7 @@ impl<'a> Emitter<'a> {
             self.emit_branch(segment, branch, *t, indent)?;
         } else {
             // A data-dependent (or SELECT) choice: emit an if/else chain.
-            for (i, (t, branch)) in node.branches.clone().iter().enumerate() {
+            for (i, (t, branch)) in node.branches.iter().enumerate() {
                 let cond = self.branch_condition(*t)?;
                 let keyword = if i == 0 { "if" } else { "} else if" };
                 let line = format!("{keyword} ({cond}) {{");
@@ -307,7 +308,7 @@ impl<'a> Emitter<'a> {
         if let Some((port, nitems, _prio)) = &info.select {
             // SELECT arm: test the occupancy of the channel backing the port.
             if let Some(channel) = self.channel_of_port(&info.process, port) {
-                let var = self.channel_var(&channel.name.clone());
+                let var = self.channel_var(&channel.name);
                 let size = self.channel_size(&channel.name);
                 return Ok(if size <= 1 {
                     format!("{var}_valid >= {nitems}")
@@ -331,13 +332,13 @@ impl<'a> Emitter<'a> {
     /// Emits the code fragment attached to a transition (nothing for
     /// environment source/sink transitions and silent transitions).
     fn emit_transition_code(&mut self, t: TransitionId, indent: usize) -> Result<()> {
-        let Some(info) = self.system.transition_code.get(&t) else {
+        let system = self.system;
+        let Some(info) = system.transition_code.get(&t) else {
             // Environment source or sink transition: no code.
             return Ok(());
         };
-        let process = info.process.clone();
-        for stmt in info.stmts.clone() {
-            self.emit_stmt(&stmt, &process, indent);
+        for stmt in &info.stmts {
+            self.emit_stmt(stmt, &info.process, indent);
         }
         Ok(())
     }
@@ -364,7 +365,8 @@ impl<'a> Emitter<'a> {
     /// transitions is fixed, the delta is the same for every occurrence.
     fn emit_state_update(&mut self, segment: &CodeSegment, taken: TransitionId, indent: usize) {
         let path = path_to_leaf(segment, taken);
-        for &p in &self.graph.state_places.clone() {
+        let graph = self.graph;
+        for &p in &graph.state_places {
             let mut delta: i64 = 0;
             for &t in &path {
                 delta += self.system.net.weight_t2p(t, p) as i64;
@@ -385,12 +387,14 @@ impl<'a> Emitter<'a> {
                 self.stats.num_returns += 1;
             }
             Continuation::Goto(seg) => {
-                let label = self.graph.segments[*seg].label.clone();
-                self.write_line(&format!("goto {label};"), indent);
+                self.write_line(
+                    &format!("goto {};", self.graph.segments[*seg].label),
+                    indent,
+                );
                 self.stats.num_gotos += 1;
             }
             Continuation::Switch(arms) => {
-                for (i, (marking, target)) in arms.clone().iter().enumerate() {
+                for (i, (marking, target)) in arms.iter().enumerate() {
                     let cond = self.state_condition(marking);
                     let keyword = if i == 0 { "if" } else { "} else if" };
                     self.write_line(&format!("{keyword} ({cond}) {{"), indent);
@@ -484,7 +488,7 @@ impl<'a> Emitter<'a> {
     }
 
     fn emit_port_op(&mut self, op: &PortOp, process: &str, indent: usize) {
-        let channel = self.channel_of_port(process, op.port()).cloned();
+        let channel = self.channel_of_port(process, op.port());
         match (channel, self.options.inline_communication) {
             (Some(channel), true) => {
                 let var = self.channel_var(&channel.name);

@@ -19,12 +19,23 @@
 //! 4. the *state places* are the places whose token counts are needed to
 //!    resolve some switch — by construction they are also places updated by
 //!    the involved transitions, matching the paper's intersection rule.
+//!
+//! The construction indexes the schedule in one pass. Every node's ECS
+//! key is interned to a dense `u32` once, in first-seen node order, and a
+//! single walk over the edges records, per `(key, transition)`, the
+//! distinct outcomes of firing it and, per key, its entering contexts.
+//! Outcomes, switch arms and thread ends are deduplicated on the
+//! schedule's [`MarkingId`]s (equal ids mean equal markings); an owned
+//! [`Marking`] is resolved only when it enters the output. Roots, segment
+//! nodes and threads index dense vectors by key or node id. The cost is
+//! linear in the schedule's edges plus the threads' traversals, instead
+//! of keys × nodes × distinct outcomes.
 
 use crate::error::{CodegenError, Result};
-use qss_core::{NodeId, Schedule};
-use qss_petri::{Marking, PetriNet, PlaceId, TransitionId};
+use qss_core::Schedule;
+use qss_petri::{FxHashMap, FxHashSet, Marking, MarkingId, PetriNet, PlaceId, TransitionId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The set of transitions labelling the outgoing edges of a schedule node,
 /// sorted to act as a canonical key.
@@ -128,233 +139,228 @@ impl SegmentGraph {
         builder.build()
     }
 
-    /// The segment that owns (has as root or inlines) the given ECS key,
-    /// if any.
-    pub fn segment_of_ecs(&self, key: &EcsKey) -> Option<usize> {
-        self.segments
-            .iter()
-            .position(|s| s.nodes.iter().any(|n| &n.ecs == key))
-    }
-
     /// Total number of segment nodes over all segments.
     pub fn num_nodes(&self) -> usize {
         self.segments.iter().map(|s| s.num_nodes()).sum()
     }
 }
 
+/// Outcome target meaning "the reaction ends at an await node"; every
+/// other target is an interned ECS key.
+const AWAIT: u32 = u32::MAX;
+
+/// The entering contexts `(parent key, transition)` of one ECS key. Only
+/// "exactly one distinct context, and which one" is ever asked, so a
+/// second distinct context collapses the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Contexts {
+    None,
+    One(u32, TransitionId),
+    Many,
+}
+
+/// The indexes of one schedule, built in one pass over its edges. ECS
+/// keys are interned to dense `u32`s in first-seen node order, and every
+/// `(key, transition)` pair owns one *slot*: slot `slot_base[k] + i`
+/// belongs to `(k, keys[k][i])`.
 struct GraphBuilder<'a> {
     schedule: &'a Schedule,
     net: &'a PetriNet,
-    /// Key of every schedule node.
-    node_key: BTreeMap<NodeId, EcsKey>,
-    /// Distinct keys in first-seen order.
+    /// Distinct keys in first-seen node order.
     keys: Vec<EcsKey>,
-}
-
-/// One observed outcome of firing transition `t` at some schedule node
-/// with a given ECS key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Outcome {
-    /// The target is an await node with this marking.
-    Await(Marking),
-    /// The target is an internal node with this key and marking.
-    Next(EcsKey, Marking),
-}
-
-/// The *target* of an outcome, ignoring the concrete marking.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum Target {
-    /// The reaction ends at an await node.
-    Await,
-    /// Control continues with the given ECS.
-    Key(EcsKey),
-}
-
-impl Outcome {
-    fn target(&self) -> Target {
-        match self {
-            Outcome::Await(_) => Target::Await,
-            Outcome::Next(k, _) => Target::Key(k.clone()),
-        }
-    }
-
-    fn marking(&self) -> &Marking {
-        match self {
-            Outcome::Await(m) | Outcome::Next(_, m) => m,
-        }
-    }
+    /// Interned key of every schedule node.
+    node_key: Vec<u32>,
+    /// Whether each schedule node is an await node.
+    is_await: Vec<bool>,
+    /// First slot of each key.
+    slot_base: Vec<usize>,
+    /// Per slot, the distinct `(target, end marking)` outcomes of firing
+    /// the transition at a node with the key, in first-seen (node, edge)
+    /// order. The target is [`AWAIT`] or the key of the target node.
+    outcomes: Vec<Vec<(u32, MarkingId)>>,
+    /// Entering contexts of every key: edges into a non-await node with it.
+    contexts: Vec<Contexts>,
 }
 
 impl<'a> GraphBuilder<'a> {
     fn new(schedule: &'a Schedule, net: &'a PetriNet) -> Self {
-        let mut node_key = BTreeMap::new();
+        let num_nodes = schedule.num_nodes();
+        let mut interned: FxHashMap<EcsKey, u32> = FxHashMap::default();
         let mut keys: Vec<EcsKey> = Vec::new();
+        let mut node_key = Vec::with_capacity(num_nodes);
+        let mut scratch: EcsKey = Vec::new();
         for id in schedule.node_ids() {
-            let mut key: EcsKey = schedule.edges(id).iter().map(|(t, _)| *t).collect();
-            key.sort();
-            if !keys.contains(&key) {
-                keys.push(key.clone());
-            }
-            node_key.insert(id, key);
+            scratch.clear();
+            scratch.extend(schedule.edges(id).iter().map(|(t, _)| *t));
+            scratch.sort();
+            let key = match interned.get(scratch.as_slice()) {
+                Some(&k) => k,
+                None => {
+                    let k = keys.len() as u32;
+                    interned.insert(scratch.clone(), k);
+                    keys.push(scratch.clone());
+                    k
+                }
+            };
+            node_key.push(key);
         }
-        GraphBuilder {
+        let is_await = schedule
+            .node_ids()
+            .map(|id| schedule.is_await_node(net, id))
+            .collect();
+        let mut slot_base = Vec::with_capacity(keys.len());
+        let mut num_slots = 0;
+        for key in &keys {
+            slot_base.push(num_slots);
+            num_slots += key.len();
+        }
+        let mut builder = GraphBuilder {
             schedule,
             net,
-            node_key,
+            contexts: vec![Contexts::None; keys.len()],
             keys,
-        }
+            node_key,
+            is_await,
+            slot_base,
+            outcomes: vec![Vec::new(); num_slots],
+        };
+        builder.index_edges();
+        builder
     }
 
-    /// All outcomes observed for `(key, t)` over the schedule.
-    fn outcomes(&self, key: &EcsKey, t: TransitionId) -> Vec<Outcome> {
-        let mut result = Vec::new();
+    /// The one pass over the edges: fills `outcomes` and `contexts`.
+    fn index_edges(&mut self) {
+        let mut seen: FxHashSet<(usize, u32, MarkingId)> = FxHashSet::default();
         for id in self.schedule.node_ids() {
-            if &self.node_key[&id] != key {
-                continue;
-            }
-            for (edge_t, target) in self.schedule.edges(id) {
-                if *edge_t != t {
-                    continue;
-                }
-                let outcome = if self.schedule.is_await_node(self.net, *target) {
-                    Outcome::Await(self.schedule.marking_owned(*target))
+            let key = self.node_key[id.index()];
+            for &(t, target) in self.schedule.edges(id) {
+                let slot = self.slot(key, t);
+                let next = if self.is_await[target.index()] {
+                    AWAIT
                 } else {
-                    Outcome::Next(
-                        self.node_key[target].clone(),
-                        self.schedule.marking_owned(*target),
-                    )
+                    self.node_key[target.index()]
                 };
-                if !result.contains(&outcome) {
-                    result.push(outcome);
+                let marking = self.schedule.marking_id(target);
+                if seen.insert((slot, next, marking)) {
+                    self.outcomes[slot].push((next, marking));
+                }
+                if next != AWAIT {
+                    let entry = &mut self.contexts[next as usize];
+                    *entry = match *entry {
+                        Contexts::None => Contexts::One(key, t),
+                        Contexts::One(k, u) if (k, u) == (key, t) => *entry,
+                        _ => Contexts::Many,
+                    };
                 }
             }
         }
-        result
     }
 
-    /// The distinct targets observed for `(key, t)`.
-    fn targets(&self, key: &EcsKey, t: TransitionId) -> Vec<Target> {
-        let mut result = Vec::new();
-        for outcome in self.outcomes(key, t) {
-            let target = outcome.target();
-            if !result.contains(&target) {
-                result.push(target);
-            }
-        }
-        result
+    /// The slot of `(key, t)`; `t` must be a member of the key.
+    fn slot(&self, key: u32, t: TransitionId) -> usize {
+        let k = key as usize;
+        let offset = self.keys[k]
+            .iter()
+            .position(|&member| member == t)
+            .expect("edge transition belongs to its node's key");
+        self.slot_base[k] + offset
     }
 
-    /// Entering contexts of `key`: the `(parent key, transition)` pairs
-    /// that lead into a non-await node with this key.
-    fn contexts(&self, key: &EcsKey) -> BTreeSet<(EcsKey, TransitionId)> {
-        let mut result = BTreeSet::new();
-        for id in self.schedule.node_ids() {
-            for (t, target) in self.schedule.edges(id) {
-                if self.schedule.is_await_node(self.net, *target) {
-                    continue;
-                }
-                if &self.node_key[target] == key {
-                    result.insert((self.node_key[&id].clone(), *t));
-                }
-            }
-        }
-        result
+    /// The target every outcome of `slot` shares, if they share one.
+    fn single_target(&self, slot: usize) -> Option<u32> {
+        let (&(first, _), rest) = self.outcomes[slot].split_first()?;
+        rest.iter().all(|&(next, _)| next == first).then_some(first)
     }
 
-    fn source_key(&self) -> EcsKey {
-        self.node_key[&self.schedule.root()].clone()
+    fn resolve(&self, marking: MarkingId) -> Marking {
+        Marking::from_counts(self.schedule.store().resolve(marking).iter().copied())
     }
 
-    /// Decides which keys become segment roots.
-    fn root_keys(&self) -> Vec<EcsKey> {
-        let source = self.source_key();
-        let mut inline_parent: BTreeMap<EcsKey, EcsKey> = BTreeMap::new();
-        let mut roots: BTreeSet<EcsKey> = BTreeSet::new();
-        roots.insert(source.clone());
-        for key in &self.keys {
-            if *key == source {
+    /// Decides which keys become segment roots: the source key first,
+    /// then the other roots in first-seen order.
+    fn root_keys(&self) -> Vec<u32> {
+        let n = self.keys.len();
+        let source = self.node_key[self.schedule.root().index()] as usize;
+        let mut is_root = vec![false; n];
+        let mut inline_parent: Vec<Option<usize>> = vec![None; n];
+        is_root[source] = true;
+        for key in 0..n {
+            if key == source {
                 continue;
             }
-            let contexts = self.contexts(key);
-            let single = if contexts.len() == 1 {
-                contexts.iter().next().cloned()
-            } else {
-                None
-            };
-            match single {
-                Some((parent, t)) => {
+            match self.contexts[key] {
+                Contexts::One(parent, t) => {
                     // Inline only if the parent always continues into this
                     // key (a single target, never an await node).
-                    let targets = self.targets(&parent, t);
-                    let always =
-                        targets.len() == 1 && matches!(&targets[0], Target::Key(k) if k == key);
-                    if always {
-                        inline_parent.insert(key.clone(), parent);
+                    if self.single_target(self.slot(parent, t)) == Some(key as u32) {
+                        inline_parent[key] = Some(parent as usize);
                     } else {
-                        roots.insert(key.clone());
+                        is_root[key] = true;
                     }
                 }
-                None => {
-                    roots.insert(key.clone());
-                }
+                Contexts::None | Contexts::Many => is_root[key] = true,
             }
         }
         // Break inline cycles: follow parent chains; any key whose chain
         // never reaches a root becomes a root itself.
+        let mut seen = vec![0usize; n];
+        let mut stamp = 0;
         let mut changed = true;
         while changed {
             changed = false;
-            for key in &self.keys {
-                if roots.contains(key) || !inline_parent.contains_key(key) {
+            for key in 0..n {
+                if is_root[key] || inline_parent[key].is_none() {
                     continue;
                 }
-                let mut seen = BTreeSet::new();
-                let mut cur = key.clone();
+                stamp += 1;
+                let mut cur = key;
                 let reaches_root = loop {
-                    if roots.contains(&cur) {
+                    if is_root[cur] {
                         break true;
                     }
-                    if !seen.insert(cur.clone()) {
+                    if seen[cur] == stamp {
                         break false;
                     }
-                    match inline_parent.get(&cur) {
-                        Some(p) => cur = p.clone(),
+                    seen[cur] = stamp;
+                    match inline_parent[cur] {
+                        Some(p) => cur = p,
                         None => break true,
                     }
                 };
                 if !reaches_root {
-                    roots.insert(key.clone());
+                    is_root[key] = true;
                     changed = true;
                 }
             }
         }
-        // Preserve deterministic order: source first, then first-seen order.
-        let mut ordered = vec![source.clone()];
-        for key in &self.keys {
-            if *key != source && roots.contains(key) {
-                ordered.push(key.clone());
-            }
-        }
+        let mut ordered = vec![source as u32];
+        ordered.extend((0..n as u32).filter(|&k| k as usize != source && is_root[k as usize]));
         ordered
     }
 
     fn build(self) -> Result<SegmentGraph> {
         let roots = self.root_keys();
-        let segment_of_root: BTreeMap<EcsKey, usize> = roots
+        let mut segment_of_key: Vec<Option<usize>> = vec![None; self.keys.len()];
+        for (i, &k) in roots.iter().enumerate() {
+            segment_of_key[k as usize] = Some(i);
+        }
+        let mut on_path = vec![false; self.keys.len()];
+        let segments: Vec<CodeSegment> = roots
             .iter()
             .enumerate()
-            .map(|(i, k)| (k.clone(), i))
+            .map(|(id, &root)| {
+                let mut nodes = Vec::new();
+                self.build_node(root, &segment_of_key, &mut nodes, &mut on_path);
+                CodeSegment {
+                    id,
+                    label: self.label_for(&self.keys[root as usize]),
+                    nodes,
+                }
+            })
             .collect();
-        let mut segments = Vec::new();
-        for (id, root) in roots.iter().enumerate() {
-            let mut nodes = Vec::new();
-            self.build_node(root, &segment_of_root, &mut nodes, &mut BTreeSet::new());
-            let label = self.label_for(root);
-            segments.push(CodeSegment { id, label, nodes });
-        }
         let state_places = self.state_places(&segments);
         self.check_resolvable(&segments, &state_places)?;
-        let threads = self.threads(&segment_of_root);
+        let threads = self.threads(&segment_of_key, segments.len());
         Ok(SegmentGraph {
             segments,
             entry: 0,
@@ -367,56 +373,51 @@ impl<'a> GraphBuilder<'a> {
     /// returning its index.
     fn build_node(
         &self,
-        key: &EcsKey,
-        roots: &BTreeMap<EcsKey, usize>,
+        key: u32,
+        segment_of_key: &[Option<usize>],
         nodes: &mut Vec<SegmentNode>,
-        on_path: &mut BTreeSet<EcsKey>,
+        on_path: &mut [bool],
     ) -> usize {
+        let ecs = &self.keys[key as usize];
         let index = nodes.len();
         nodes.push(SegmentNode {
-            ecs: key.clone(),
+            ecs: ecs.clone(),
             branches: Vec::new(),
         });
-        on_path.insert(key.clone());
-        let mut branches = Vec::new();
-        for &t in key {
-            let targets = self.targets(key, t);
-            let branch = if targets.len() == 1 {
-                match &targets[0] {
-                    Target::Await => Branch::Terminal(Continuation::Return),
-                    Target::Key(next_key) => match roots.get(next_key) {
-                        Some(&seg) => Branch::Terminal(Continuation::Goto(seg)),
-                        None => {
-                            if on_path.contains(next_key) {
-                                // Defensive: should have been made a root by
-                                // cycle breaking; fall back to a goto to the
-                                // segment that owns it (the entry segment).
-                                Branch::Terminal(Continuation::Goto(0))
-                            } else {
-                                Branch::Inline(self.build_node(next_key, roots, nodes, on_path))
-                            }
+        on_path[key as usize] = true;
+        let mut branches = Vec::with_capacity(ecs.len());
+        for &t in ecs {
+            let slot = self.slot(key, t);
+            let branch = match self.single_target(slot) {
+                Some(AWAIT) => Branch::Terminal(Continuation::Return),
+                Some(next) => match segment_of_key[next as usize] {
+                    Some(seg) => Branch::Terminal(Continuation::Goto(seg)),
+                    // Defensive: should have been made a root by cycle
+                    // breaking; fall back to a goto to the segment that
+                    // owns it (the entry segment).
+                    None if on_path[next as usize] => Branch::Terminal(Continuation::Goto(0)),
+                    None => Branch::Inline(self.build_node(next, segment_of_key, nodes, on_path)),
+                },
+                None => {
+                    // A run-time dispatch on the task state: one arm per
+                    // observed (end marking, continuation) pair.
+                    let mut seen: FxHashSet<(MarkingId, Option<usize>)> = FxHashSet::default();
+                    let mut arms: Vec<(Marking, Box<Continuation>)> = Vec::new();
+                    for &(next, marking) in &self.outcomes[slot] {
+                        let goto =
+                            (next != AWAIT).then(|| segment_of_key[next as usize].unwrap_or(0));
+                        if seen.insert((marking, goto)) {
+                            let continuation =
+                                goto.map_or(Continuation::Return, Continuation::Goto);
+                            arms.push((self.resolve(marking), Box::new(continuation)));
                         }
-                    },
-                }
-            } else {
-                // A run-time dispatch on the task state: one arm per
-                // observed (end marking, target) pair.
-                let mut arms: Vec<(Marking, Box<Continuation>)> = Vec::new();
-                for outcome in self.outcomes(key, t) {
-                    let continuation = match outcome.target() {
-                        Target::Await => Continuation::Return,
-                        Target::Key(k) => Continuation::Goto(roots.get(&k).copied().unwrap_or(0)),
-                    };
-                    let arm = (outcome.marking().clone(), Box::new(continuation));
-                    if !arms.contains(&arm) {
-                        arms.push(arm);
                     }
+                    Branch::Terminal(Continuation::Switch(arms))
                 }
-                Branch::Terminal(Continuation::Switch(arms))
             };
             branches.push((t, branch));
         }
-        on_path.remove(key);
+        on_path[key as usize] = false;
         nodes[index].branches = branches;
         index
     }
@@ -492,32 +493,41 @@ impl<'a> GraphBuilder<'a> {
 
     /// Threads: for each await node, the segments used until the reaction
     /// reaches await nodes again.
-    fn threads(&self, roots: &BTreeMap<EcsKey, usize>) -> Vec<Thread> {
-        let awaits = self.schedule.await_nodes(self.net);
+    fn threads(&self, segment_of_key: &[Option<usize>], num_segments: usize) -> Vec<Thread> {
+        // Stamped visited marks: thread `i` stamps with `i + 1`.
+        let mut visited = vec![0usize; self.schedule.num_nodes()];
+        let mut segment_seen = vec![0usize; num_segments];
+        let mut end_seen = vec![0usize; self.schedule.store().len()];
         let mut threads = Vec::new();
-        for &start in &awaits {
+        let mut stack = Vec::new();
+        for start in self.schedule.node_ids() {
+            if !self.is_await[start.index()] {
+                continue;
+            }
+            let stamp = threads.len() + 1;
             let mut segments_used: Vec<usize> = Vec::new();
             let mut ends: Vec<Marking> = Vec::new();
-            let mut visited: BTreeSet<NodeId> = BTreeSet::new();
-            let mut stack = vec![start];
+            stack.push(start);
             while let Some(node) = stack.pop() {
-                if !visited.insert(node) {
+                if visited[node.index()] == stamp {
                     continue;
                 }
-                let key = &self.node_key[&node];
-                if let Some(&seg) = roots.get(key) {
-                    if !segments_used.contains(&seg) {
+                visited[node.index()] = stamp;
+                if let Some(seg) = segment_of_key[self.node_key[node.index()] as usize] {
+                    if segment_seen[seg] != stamp {
+                        segment_seen[seg] = stamp;
                         segments_used.push(seg);
                     }
                 }
-                for (_, target) in self.schedule.edges(node) {
-                    if self.schedule.is_await_node(self.net, *target) {
-                        let m = self.schedule.marking_owned(*target);
-                        if !ends.contains(&m) {
-                            ends.push(m);
+                for &(_, target) in self.schedule.edges(node) {
+                    if self.is_await[target.index()] {
+                        let m = self.schedule.marking_id(target);
+                        if end_seen[m.index()] != stamp {
+                            end_seen[m.index()] = stamp;
+                            ends.push(self.resolve(m));
                         }
                     } else {
-                        stack.push(*target);
+                        stack.push(target);
                     }
                 }
             }

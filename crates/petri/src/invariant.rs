@@ -1108,6 +1108,13 @@ fn collect_invariants_dense(
 /// the benchmark suite measures the sparse dual against). Do not use it in
 /// production paths.
 pub fn p_invariant_basis_dense(net: &PetriNet, row_cap: usize) -> Vec<PInvariant> {
+    p_invariant_elimination_dense(net, row_cap).0
+}
+
+/// [`p_invariant_basis_dense`] plus the completeness of the elimination,
+/// the oracle for [`p_invariant_elimination`]: `false` when the run hit
+/// `row_cap`.
+pub fn p_invariant_elimination_dense(net: &PetriNet, row_cap: usize) -> (Vec<PInvariant>, bool) {
     let np = net.num_places();
     let nt = net.num_transitions();
     let c = incidence_matrix(net);
@@ -1164,13 +1171,13 @@ pub fn p_invariant_basis_dense(net: &PetriNet, row_cap: usize) -> Vec<PInvariant
                     next.push(combined);
                 }
                 if next.len() > row_cap {
-                    return collect_p_invariants_dense(&next, np, nt, net);
+                    return (collect_p_invariants_dense(&next, np, nt, net), false);
                 }
             }
         }
         rows = next;
     }
-    collect_p_invariants_dense(&rows, np, nt, net)
+    (collect_p_invariants_dense(&rows, np, nt, net), true)
 }
 
 fn collect_p_invariants_dense(

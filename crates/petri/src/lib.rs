@@ -54,7 +54,8 @@ pub use fx::{FxHashMap, FxHashSet};
 pub use ids::{PlaceId, TransitionId};
 pub use invariant::{
     incidence_matrix, p_invariant_basis, p_invariant_basis_dense, p_invariant_elimination,
-    t_invariant_basis, t_invariant_basis_dense, IncidenceMatrix, PInvariant, TInvariant,
+    p_invariant_elimination_dense, t_invariant_basis, t_invariant_basis_dense, IncidenceMatrix,
+    PInvariant, TInvariant,
 };
 pub use marking::{format_marking, marking_hash, place_count_hash, Marking};
 pub use net::{NetBuilder, PetriNet, Place, PlaceKind, Transition, TransitionKind};

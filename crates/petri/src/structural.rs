@@ -32,7 +32,7 @@
 
 use crate::ids::{PlaceId, TransitionId};
 use crate::invariant::{
-    p_invariant_basis_dense, p_invariant_elimination, surinvariant_cover, PInvariant,
+    p_invariant_elimination, p_invariant_elimination_dense, surinvariant_cover, PInvariant,
 };
 use crate::net::{PetriNet, TransitionKind};
 use serde::{Deserialize, Serialize};
@@ -203,13 +203,13 @@ pub fn structural_report(net: &PetriNet, limits: &StructuralLimits) -> Structura
     build_report(net, limits, p_invariants, p_invariants_complete)
 }
 
-/// [`structural_report`] with the P-invariant basis computed by the dense
-/// oracle ([`p_invariant_basis_dense`]) instead of the sparse dual.
-/// Retained for differential testing and benchmarking; do not use it in
-/// production paths.
+/// [`structural_report`] with the P-invariant basis (and its completeness)
+/// computed by the dense oracle ([`p_invariant_elimination_dense`])
+/// instead of the sparse dual. Retained for differential testing and
+/// benchmarking; do not use it in production paths.
 pub fn structural_report_dense(net: &PetriNet, limits: &StructuralLimits) -> StructuralReport {
-    let p_invariants = p_invariant_basis_dense(net, limits.row_cap);
-    build_report(net, limits, p_invariants, true)
+    let (p_invariants, p_invariants_complete) = p_invariant_elimination_dense(net, limits.row_cap);
+    build_report(net, limits, p_invariants, p_invariants_complete)
 }
 
 fn build_report(
@@ -628,5 +628,31 @@ mod tests {
             structural_report(&net, &limits),
             structural_report_dense(&net, &limits)
         );
+    }
+
+    #[test]
+    fn dense_report_oracle_agrees_when_the_elimination_bails() {
+        // Six places with one token-moving transition per ordered pair:
+        // the first pivot already needs five rows, so both eliminations
+        // bail at a cap of four and must report the basis incomplete.
+        let mut bld = NetBuilder::new("k6");
+        let places: Vec<PlaceId> = (0..6).map(|i| bld.place(format!("p{i}"), 1)).collect();
+        for (i, &from) in places.iter().enumerate() {
+            for (j, &to) in places.iter().enumerate() {
+                if i != j {
+                    let t = bld.transition(format!("t{i}_{j}"), TransitionKind::Internal);
+                    bld.arc_p2t(from, t, 1);
+                    bld.arc_t2p(t, to, 1);
+                }
+            }
+        }
+        let net = bld.build().unwrap();
+        let limits = StructuralLimits {
+            row_cap: 4,
+            ..StructuralLimits::default()
+        };
+        let sparse = structural_report(&net, &limits);
+        assert!(!sparse.p_invariants_complete);
+        assert_eq!(sparse, structural_report_dense(&net, &limits));
     }
 }

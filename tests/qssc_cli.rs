@@ -1,6 +1,7 @@
 //! End-to-end tests of the `qssc` CLI binary: builds the checked-in
-//! FlowC sample, checks every emitted artifact, and diffs the JSON
-//! report against the golden file CI also compares against.
+//! FlowC samples, checks every emitted artifact, and diffs the generated
+//! C and the JSON reports against the golden files CI also compares
+//! against.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -45,6 +46,10 @@ fn build_emits_c_json_dot_and_the_golden_report() {
     let c = std::fs::read_to_string(out.join("collatz.task_source_trigger.c")).unwrap();
     assert!(c.contains("void task_source_trigger_run(void)"));
     assert!(c.contains("goto "));
+    let c_golden =
+        std::fs::read_to_string(repo_file("samples/pipeline.task_source_trigger.golden.c"))
+            .unwrap();
+    assert_eq!(c, c_golden, "generated C drifted from the golden file");
     // The DOT artifacts match their checked-in goldens byte for byte
     // (CI re-checks both with `diff`), like the JSON report below.
     let net_dot = std::fs::read_to_string(out.join("collatz.net.dot")).unwrap();
@@ -73,6 +78,67 @@ fn build_emits_c_json_dot_and_the_golden_report() {
     let golden = std::fs::read_to_string(repo_file("samples/pipeline.report.golden.json")).unwrap();
     assert_eq!(report, golden, "report drifted from the golden file");
 
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// The mixed data-control sample (if/else split, unequal-rate `SELECT`
+/// merge, multi-rate divider tail) generates a switch-bearing task:
+/// several code segments, threads and state variables. Its C and report
+/// are pinned byte for byte.
+#[test]
+fn build_of_the_mixed_sample_matches_the_golden_c_and_report() {
+    // The sample is the shared test template at b1, r2, d2, SELECT rates
+    // (2, 1) and salt 7.
+    let source = std::fs::read_to_string(repo_file("samples/mixed.flowc")).unwrap();
+    assert_eq!(
+        source,
+        qss_bench::testgen::mixed_source("mixed", 1, &[(2, 1)], 2, 2, 7)
+    );
+
+    let out = temp_dir("mixed");
+    let report_path = out.join("report.json");
+    let status = qssc()
+        .args([
+            "build",
+            repo_file("samples/mixed.flowc").to_str().unwrap(),
+            "--emit",
+            "c,json",
+            "--out",
+            out.to_str().unwrap(),
+            "--events",
+            "split.trigger=1,4,5,7,2,3",
+            "--report",
+            report_path.to_str().unwrap(),
+        ])
+        .status()
+        .unwrap();
+    assert!(status.success());
+
+    let c = std::fs::read_to_string(out.join("mixed.task_split_trigger.c")).unwrap();
+    let c_golden =
+        std::fs::read_to_string(repo_file("samples/mixed.task_split_trigger.golden.c")).unwrap();
+    assert_eq!(c, c_golden, "generated C drifted from the golden file");
+    let report = std::fs::read_to_string(&report_path).unwrap();
+    let golden = std::fs::read_to_string(repo_file("samples/mixed.report.golden.json")).unwrap();
+    assert_eq!(report, golden, "report drifted from the golden file");
+
+    let task_json = std::fs::read_to_string(out.join("mixed.pipeline.json")).unwrap();
+    let task = qss::TaskArtifact::from_json(&task_json).unwrap();
+    let stats = task.tasks[0].stats;
+    assert_eq!(
+        (
+            stats.num_segments,
+            stats.num_threads,
+            stats.num_state_variables
+        ),
+        (3, 15, 2)
+    );
+    let sim_json = std::fs::read_to_string(out.join("mixed.sim.json")).unwrap();
+    assert!(
+        qss::SimArtifact::from_json(&sim_json)
+            .unwrap()
+            .outputs_match
+    );
     let _ = std::fs::remove_dir_all(&out);
 }
 
@@ -298,6 +364,10 @@ fn remote_build_against_a_warm_server_matches_the_goldens() {
     assert_eq!(net_dot, net_golden);
     let c = std::fs::read_to_string(out.join("collatz.task_source_trigger.c")).unwrap();
     assert!(c.contains("void task_source_trigger_run(void)"));
+    let c_golden =
+        std::fs::read_to_string(repo_file("samples/pipeline.task_source_trigger.golden.c"))
+            .unwrap();
+    assert_eq!(c, c_golden, "remote C drifted from the golden file");
 
     // `remote check` prints the summary plus the net fingerprint.
     let output = qssc()
