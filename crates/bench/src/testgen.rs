@@ -263,6 +263,52 @@ pub fn ballast_source(name: &str, ballast: usize, salt: u64) -> String {
     src
 }
 
+/// FlowC source of a divider chain: process `s0` forwards the
+/// environment input `go`, and each of the `depth` stages after it reads
+/// `k` items per firing from the stage before. Scheduling the input takes
+/// `k^depth` source firings, so the schedule's deepest path grows the
+/// same way: a search that outruns any sane deadline at `(8, 8)`, and a
+/// deep-path stress case at `(4, 8)` (8 778 schedule nodes) or
+/// `(1, 10_000)` (one cycle 20 002 nodes long).
+pub fn divider_chain_source(depth: usize, k: u32) -> String {
+    let mut out = String::from("SYSTEM chain {\n");
+    for i in 0..depth {
+        out.push_str(&format!("    CHANNEL s{i}.out -> s{}.inp;\n", i + 1));
+    }
+    out.push_str("}\n");
+    out.push_str(
+        "PROCESS s0 (In DPORT go, Out DPORT out) {\n\
+         \x20   int x;\n\
+         \x20   while (1) { READ_DATA(go, x, 1); WRITE_DATA(out, x, 1); }\n\
+         }\n",
+    );
+    for i in 1..=depth {
+        out.push_str(&format!(
+            "PROCESS s{i} (In DPORT inp, Out DPORT out) {{\n\
+             \x20   int x;\n\
+             \x20   while (1) {{ READ_DATA(inp, x, {k}); WRITE_DATA(out, x, 1); }}\n\
+             }}\n"
+        ));
+    }
+    out
+}
+
+/// FlowC source of one process that reads the environment input `go`
+/// once and then writes it to the output `o` `writes` times in a row.
+/// Every write ends a code fragment, so one code segment of the task is a
+/// straight line of `writes + 1` inlined nodes: the deep-path stress case
+/// for code generation.
+pub fn write_chain_source(writes: usize) -> String {
+    let mut out = String::from(
+        "PROCESS p (In DPORT go, Out DPORT o) {\n    int x;\n    while (1) {\n        READ_DATA(go, x, 1);\n",
+    );
+    for _ in 0..writes {
+        out.push_str("        WRITE_DATA(o, x, 1);\n");
+    }
+    out.push_str("    }\n}\n");
+    out
+}
+
 /// FlowC source of a mixed data-control system — the template of
 /// perfbench's `compile_mixed` systems: a `split` process with one
 /// data-dependent `if/else` per branch onto two channels, one `SELECT`

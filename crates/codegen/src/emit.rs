@@ -265,35 +265,49 @@ impl<'a> Emitter<'a> {
         let graph = self.graph;
         for segment in &graph.segments {
             let _ = writeln!(self.out, "{}:", segment.label);
-            self.emit_segment_node(segment, 0, 1)?;
+            self.emit_segment(segment)?;
         }
         let _ = writeln!(self.out, "}}");
         Ok(())
     }
 
-    fn emit_segment_node(
-        &mut self,
-        segment: &CodeSegment,
-        node_index: usize,
-        indent: usize,
-    ) -> Result<()> {
-        let node = &segment.nodes[node_index];
-        if node.ecs.len() == 1 {
-            let (t, branch) = &node.branches[0];
-            self.emit_transition_code(*t, indent)?;
-            self.emit_branch(segment, branch, *t, indent)?;
-        } else {
-            // A data-dependent (or SELECT) choice: emit an if/else chain.
-            for (i, (t, branch)) in node.branches.iter().enumerate() {
-                let cond = self.branch_condition(*t)?;
-                let keyword = if i == 0 { "if" } else { "} else if" };
-                let line = format!("{keyword} ({cond}) {{");
-                self.write_line(&line, indent);
-                self.stats.num_conditionals += 1;
-                self.emit_transition_code(*t, indent + 1)?;
-                self.emit_branch(segment, branch, *t, indent + 1)?;
+    /// Emits a segment's code from its root node. A single-transition node
+    /// runs straight into its branch; a choice opens an `if`/`else if`
+    /// chain with one arm per transition and closes it after the last
+    /// arm's code. Pending work sits on an explicit stack, so a long
+    /// straight-line segment needs no call stack.
+    fn emit_segment(&mut self, segment: &CodeSegment) -> Result<()> {
+        let mut stack = vec![Emit::Node(0, 1)];
+        while let Some(step) = stack.pop() {
+            match step {
+                Emit::Node(node, indent) => {
+                    let branches = &segment.nodes[node].branches;
+                    if segment.nodes[node].ecs.len() == 1 {
+                        let (t, branch) = &branches[0];
+                        self.emit_transition_code(*t, indent)?;
+                        self.emit_branch(segment, branch, *t, indent, &mut stack);
+                    } else {
+                        // A data-dependent (or SELECT) choice: an if/else
+                        // chain, its arms popped in order.
+                        stack.push(Emit::Close(indent));
+                        stack.extend(
+                            (0..branches.len())
+                                .rev()
+                                .map(|i| Emit::Arm(node, i, indent)),
+                        );
+                    }
+                }
+                Emit::Arm(node, i, indent) => {
+                    let (t, branch) = &segment.nodes[node].branches[i];
+                    let cond = self.branch_condition(*t)?;
+                    let keyword = if i == 0 { "if" } else { "} else if" };
+                    self.write_line(&format!("{keyword} ({cond}) {{"), indent);
+                    self.stats.num_conditionals += 1;
+                    self.emit_transition_code(*t, indent + 1)?;
+                    self.emit_branch(segment, branch, *t, indent + 1, &mut stack);
+                }
+                Emit::Close(indent) => self.write_line("}", indent),
             }
-            self.write_line("}", indent);
         }
         Ok(())
     }
@@ -343,19 +357,21 @@ impl<'a> Emitter<'a> {
         Ok(())
     }
 
+    /// Continues after `taken`: an inline node is pushed for the caller's
+    /// loop to emit, a terminal is emitted here.
     fn emit_branch(
         &mut self,
         segment: &CodeSegment,
         branch: &Branch,
         taken: TransitionId,
         indent: usize,
-    ) -> Result<()> {
+        stack: &mut Vec<Emit>,
+    ) {
         match branch {
-            Branch::Inline(next) => self.emit_segment_node(segment, *next, indent),
+            Branch::Inline(next) => stack.push(Emit::Node(*next, indent)),
             Branch::Terminal(continuation) => {
                 self.emit_state_update(segment, taken, indent);
                 self.emit_continuation(continuation, indent);
-                Ok(())
             }
         }
     }
@@ -569,28 +585,44 @@ impl<'a> Emitter<'a> {
     }
 }
 
+/// Pending work of [`Emitter::emit_segment`]; each step carries its
+/// indentation level.
+enum Emit {
+    /// Emit segment node `.0`.
+    Node(usize, usize),
+    /// Emit arm `.1` of the choice at segment node `.0`.
+    Arm(usize, usize, usize),
+    /// Close a choice's `if`/`else if` chain.
+    Close(usize),
+}
+
 /// The transitions on the unique path from the segment root to the leaf
-/// whose last transition is `taken`.
+/// whose last transition is `taken`: a depth-first walk whose path is an
+/// explicit stack of `(node, next branch)` frames.
 fn path_to_leaf(segment: &CodeSegment, taken: TransitionId) -> Vec<TransitionId> {
-    fn walk(
-        segment: &CodeSegment,
-        node: usize,
-        taken: TransitionId,
-        path: &mut Vec<TransitionId>,
-    ) -> bool {
-        for (t, branch) in &segment.nodes[node].branches {
-            path.push(*t);
-            match branch {
-                Branch::Terminal(_) if *t == taken => return true,
-                Branch::Inline(next) if walk(segment, *next, taken, path) => return true,
-                _ => {}
-            }
-            path.pop();
-        }
-        false
-    }
     let mut path = Vec::new();
-    walk(segment, 0, taken, &mut path);
+    let mut stack = vec![(0usize, 0usize)];
+    while let Some(frame) = stack.last_mut() {
+        let (node, i) = *frame;
+        let Some((t, branch)) = segment.nodes[node].branches.get(i) else {
+            // Leave the node: drop the transition that entered it.
+            stack.pop();
+            path.pop();
+            continue;
+        };
+        frame.1 += 1;
+        match branch {
+            Branch::Terminal(_) if *t == taken => {
+                path.push(*t);
+                return path;
+            }
+            Branch::Inline(next) => {
+                path.push(*t);
+                stack.push((*next, 0));
+            }
+            Branch::Terminal(_) => {}
+        }
+    }
     path
 }
 

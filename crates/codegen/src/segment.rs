@@ -348,14 +348,10 @@ impl<'a> GraphBuilder<'a> {
         let segments: Vec<CodeSegment> = roots
             .iter()
             .enumerate()
-            .map(|(id, &root)| {
-                let mut nodes = Vec::new();
-                self.build_node(root, &segment_of_key, &mut nodes, &mut on_path);
-                CodeSegment {
-                    id,
-                    label: self.label_for(&self.keys[root as usize]),
-                    nodes,
-                }
+            .map(|(id, &root)| CodeSegment {
+                id,
+                label: self.label_for(&self.keys[root as usize]),
+                nodes: self.build_segment(root, &segment_of_key, &mut on_path),
             })
             .collect();
         let state_places = self.state_places(&segments);
@@ -369,24 +365,28 @@ impl<'a> GraphBuilder<'a> {
         })
     }
 
-    /// Builds the node for `key` (and its inlined successors) into `nodes`,
-    /// returning its index.
-    fn build_node(
+    /// Builds the segment rooted at `root`: that node and its inlined
+    /// successors, numbered in depth-first preorder. The walk keeps its
+    /// path in an explicit stack of `(key, node index, next ECS member)`
+    /// frames, so a long straight-line segment needs no call stack.
+    fn build_segment(
         &self,
-        key: u32,
+        root: u32,
         segment_of_key: &[Option<usize>],
-        nodes: &mut Vec<SegmentNode>,
         on_path: &mut [bool],
-    ) -> usize {
-        let ecs = &self.keys[key as usize];
-        let index = nodes.len();
-        nodes.push(SegmentNode {
-            ecs: ecs.clone(),
-            branches: Vec::new(),
-        });
-        on_path[key as usize] = true;
-        let mut branches = Vec::with_capacity(ecs.len());
-        for &t in ecs {
+    ) -> Vec<SegmentNode> {
+        let mut nodes = Vec::new();
+        let mut stack = Vec::new();
+        self.open_node(root, &mut nodes, &mut stack, on_path);
+        while let Some(frame) = stack.last_mut() {
+            let (key, index, member) = *frame;
+            let ecs = &self.keys[key as usize];
+            let Some(&t) = ecs.get(member) else {
+                on_path[key as usize] = false;
+                stack.pop();
+                continue;
+            };
+            frame.2 += 1;
             let slot = self.slot(key, t);
             let branch = match self.single_target(slot) {
                 Some(AWAIT) => Branch::Terminal(Continuation::Return),
@@ -396,7 +396,7 @@ impl<'a> GraphBuilder<'a> {
                     // breaking; fall back to a goto to the segment that
                     // owns it (the entry segment).
                     None if on_path[next as usize] => Branch::Terminal(Continuation::Goto(0)),
-                    None => Branch::Inline(self.build_node(next, segment_of_key, nodes, on_path)),
+                    None => Branch::Inline(self.open_node(next, &mut nodes, &mut stack, on_path)),
                 },
                 None => {
                     // A run-time dispatch on the task state: one arm per
@@ -415,10 +415,28 @@ impl<'a> GraphBuilder<'a> {
                     Branch::Terminal(Continuation::Switch(arms))
                 }
             };
-            branches.push((t, branch));
+            nodes[index].branches.push((t, branch));
         }
-        on_path[key as usize] = false;
-        nodes[index].branches = branches;
+        nodes
+    }
+
+    /// Appends the node for `key` with no branches yet, puts it on the
+    /// path and pushes its frame; returns its index.
+    fn open_node(
+        &self,
+        key: u32,
+        nodes: &mut Vec<SegmentNode>,
+        stack: &mut Vec<(u32, usize, usize)>,
+        on_path: &mut [bool],
+    ) -> usize {
+        let ecs = &self.keys[key as usize];
+        let index = nodes.len();
+        nodes.push(SegmentNode {
+            ecs: ecs.clone(),
+            branches: Vec::with_capacity(ecs.len()),
+        });
+        on_path[key as usize] = true;
+        stack.push((key, index, 0));
         index
     }
 

@@ -21,7 +21,7 @@
 //! in `O(changed places)` on a typical descent and backtrack (see the
 //! [`PathTracker`] docs for the worst case):
 //!
-//! * one scratch [`Marking`] mutated in place via
+//! * one scratch [`Marking`](qss_petri::Marking) mutated in place via
 //!   [`PetriNet::fire_into`]/[`PetriNet::unfire_into`] — the search never
 //!   clones markings on the main path (schedule markings are rebuilt by
 //!   replaying the retained tree at the end),
@@ -39,6 +39,19 @@
 //! recompute-from-scratch implementation is retained unchanged in
 //! [`crate::reference`] as the differential-testing oracle; the two
 //! engines produce identical trees, schedules and statistics.
+//!
+//! # Explicit frames
+//!
+//! The figure's EP and EP_ECS call each other once per path node. Here
+//! they are one loop over a `Vec` of frames, one per expanded node on
+//! the path, each holding that node's candidate ECSs, the cursor into
+//! them, and the state of the ECS being explored. A path tens of
+//! thousands of nodes deep therefore costs heap, not call stack, and
+//! the search runs on any thread's default stack. Path depth is bounded
+//! by the nodes created, so `max_nodes` bounds it too. A search the
+//! budget or `max_nodes` stops just returns, dropping its frames. The
+//! schedule build walks the retained tree with an explicit stack as
+//! well.
 
 use crate::budget::{BudgetChecker, BudgetStop, SearchBudget};
 use crate::error::{Result, ScheduleError};
@@ -48,23 +61,10 @@ use crate::schedule::{NodeId, Schedule};
 use crate::termination::{PathTracker, TerminationKind};
 use qss_flowc::LinkedSystem;
 use qss_petri::{
-    EcsId, EcsInfo, Marking, MarkingId, MarkingStore, PetriNet, PlaceId, TransitionId,
-    TransitionKind,
+    EcsId, EcsInfo, MarkingId, MarkingStore, PetriNet, PlaceId, TransitionId, TransitionKind,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Stack size for threads that run the EP search.
-///
-/// The search recurses once per on-path node, so its stack depth is the
-/// current path length — on a pathological net (a divider chain, where
-/// one schedule needs `k^depth` source firings) that is tens of
-/// thousands of frames before a deadline budget trips, far past the
-/// 2 MiB Rust gives a spawned thread by default. Threads created with
-/// this size only *reserve* the address space; pages are committed as
-/// the search actually deepens. [`schedule_system`] uses it for its
-/// parallel fan-out threads, and `qssd` uses it for its worker threads.
-pub const SEARCH_THREAD_STACK_BYTES: usize = 64 * 1024 * 1024;
 
 /// Options controlling the schedule search.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -237,9 +237,9 @@ impl SearchProfile {
 /// skip the analyses entirely.
 ///
 /// The context is an owned value (no borrow of the net): the net is
-/// passed to each call instead, and — like [`Marking`] — the caller is
-/// responsible for only combining a context with the net it was computed
-/// from. All fields are immutable after construction, so one context can
+/// passed to each call instead, and — like
+/// [`Marking`](qss_petri::Marking) — the caller is responsible for only
+/// combining a context with the net it was computed from. All fields are immutable after construction, so one context can
 /// be shared by reference across threads (see [`schedule_system`]).
 #[derive(Debug, Clone)]
 pub struct SearchContext {
@@ -355,12 +355,9 @@ impl SearchContext {
                 source,
                 sorter: &self.sorter,
                 nodes: Vec::new(),
-                budget_exhausted: false,
                 budget: checker.as_mut(),
-                budget_stop: None,
                 combo_buf: Vec::new(),
                 promising_buf: Vec::new(),
-                ecs_pool: Vec::new(),
                 profile: SearchProfile::default(),
             };
             let result = search.run();
@@ -485,12 +482,7 @@ pub fn schedule_system(
         let outcomes: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = sources
                 .iter()
-                .map(|&source| {
-                    std::thread::Builder::new()
-                        .stack_size(SEARCH_THREAD_STACK_BYTES)
-                        .spawn_scoped(scope, move || search(source))
-                        .expect("spawn a scheduling thread")
-                })
+                .map(|&source| scope.spawn(move || search(source)))
                 .collect();
             handles
                 .into_iter()
@@ -532,11 +524,57 @@ struct TreeNode {
     merge_with: Option<usize>,
 }
 
-/// Accumulator of [`Search::build_schedule`]: the schedule's marking
-/// arena plus the interned `(marking, edges)` node list under construction.
-struct ScheduleBuild {
-    store: MarkingStore,
-    nodes: Vec<(MarkingId, Vec<(TransitionId, NodeId)>)>,
+/// One expanded node on the search path: the state of its EP call (the
+/// candidate-ECS loop) and of the EP_ECS call in progress inside it.
+///
+/// Frames live in one `Vec` indexed by path position; a popped frame's
+/// slot (and its candidate buffer) is reused by the next node expanded
+/// at that position, so the per-node ECS sweep allocates nothing once
+/// the path has been this deep before.
+#[derive(Default)]
+struct Frame {
+    /// The expanded tree node.
+    v: usize,
+    /// EP's `target`: an entering point that is an ancestor of it ends
+    /// the candidate loop early.
+    target: usize,
+    /// Enabled candidate ECSs at `v`, in heuristic order.
+    candidates: Vec<EcsId>,
+    /// Index into `candidates` of the ECS being explored.
+    cursor: usize,
+    /// Best entering point over the finished ECSs (exhaustive mode).
+    best: Option<usize>,
+    /// The current ECS's next member to expand.
+    member: usize,
+    /// The current ECS's best entering point over its finished members.
+    ecs_best: Option<usize>,
+    /// Target handed to the current ECS's next child.
+    current_target: usize,
+}
+
+/// What the search loop does next.
+enum Step {
+    /// Evaluate the freshly created node (the tracker carries its
+    /// marking) against the target.
+    Enter(usize, usize),
+    /// Hand the entering point of the node just evaluated to the frame
+    /// that created it (or out of the search, below the first frame).
+    Return(Option<usize>),
+    /// Expand the current ECS's next member at the top frame.
+    NextMember,
+    /// The current ECS of the top frame is decided with this entering
+    /// point.
+    EcsDone(Option<usize>),
+    /// Start the top frame's next candidate ECS, or finish the frame.
+    NextEcs,
+}
+
+/// Why a search pass stopped before the root was decided.
+enum Abandon {
+    /// `max_nodes` tree nodes exist and the search needed another.
+    MaxNodes,
+    /// The cooperative budget stopped the pass.
+    Budget(BudgetStop),
 }
 
 struct Search<'a> {
@@ -547,23 +585,14 @@ struct Search<'a> {
     source: TransitionId,
     sorter: &'a EcsSorter,
     nodes: Vec<TreeNode>,
-    budget_exhausted: bool,
     /// The cooperative budget's charging state (`None` when unlimited,
     /// which keeps the hot path free of clock reads). Borrowed from the
     /// caller so the greedy→exhaustive retry shares one allowance.
     budget: Option<&'a mut BudgetChecker>,
-    /// Why the cooperative budget stopped the search, when it did.
-    budget_stop: Option<BudgetStop>,
     /// Scratch buffers of [`EcsSorter::promising_into`], reused across
     /// nodes so the heuristic allocates nothing on the hot path.
     combo_buf: Vec<u64>,
     promising_buf: Vec<u64>,
-    /// Per-depth candidate-ECS buffers, recycled across the recursion so
-    /// the per-node ECS sweep allocates nothing once the pool has warmed
-    /// up. Indexed by node depth: the DFS has at most one live frame per
-    /// depth, so a frame can take its buffer and return it on every exit
-    /// path without clashing with siblings.
-    ecs_pool: Vec<Vec<EcsId>>,
     /// Work counters for this pass, absorbed into the caller's
     /// [`SearchProfile`] when the pass returns. Plain integers on the
     /// search's own frame: bumping them costs no atomics, no branches.
@@ -592,22 +621,8 @@ impl<'a> Search<'a> {
         });
         self.nodes[0].children.push((self.source, 1));
 
-        let result = self.ep(1, 0);
-        if self.budget_exhausted {
-            if let Some(stop) = self.budget_stop {
-                return Err(ScheduleError::BudgetExhausted {
-                    source: self.source,
-                    stop,
-                    steps: self.budget.as_ref().map_or(0, |c| c.steps()),
-                });
-            }
-            return Err(ScheduleError::SearchBudgetExhausted {
-                source: self.source,
-                max_nodes: self.options.max_nodes,
-            });
-        }
-        match result {
-            Some(0) => {
+        match self.ep() {
+            Ok(Some(0)) => {
                 let schedule = self.build_schedule();
                 let stats = SearchStats {
                     nodes_created: self.nodes.len(),
@@ -616,9 +631,18 @@ impl<'a> Search<'a> {
                 };
                 Ok((schedule, stats))
             }
-            _ => Err(ScheduleError::NoSchedule {
+            Ok(_) => Err(ScheduleError::NoSchedule {
                 source: self.source,
                 explored_nodes: self.nodes.len(),
+            }),
+            Err(Abandon::Budget(stop)) => Err(ScheduleError::BudgetExhausted {
+                source: self.source,
+                stop,
+                steps: self.budget.as_ref().map_or(0, |c| c.steps()),
+            }),
+            Err(Abandon::MaxNodes) => Err(ScheduleError::SearchBudgetExhausted {
+                source: self.source,
+                max_nodes: self.options.max_nodes,
             }),
         }
     }
@@ -703,225 +727,230 @@ impl<'a> Search<'a> {
         });
     }
 
-    /// The EP function of Figure 9(a): finds an entering point of `v` that
-    /// is an ancestor of `target` if possible, otherwise the entering point
-    /// closest to the root, otherwise `None`.
+    /// The EP function of Figure 9(a) and the EP_ECS function of
+    /// Figure 9(b), run for the source's child (node 1) with the root as
+    /// target: the entering point of node 1, `Some(0)` when the retained
+    /// tree is a schedule.
     ///
-    /// On entry the tracker carries `v`'s marking and the path entries are
-    /// exactly `v`'s proper ancestors; `v` is pushed only while its
-    /// candidate ECSs are being explored.
-    fn ep(&mut self, v: usize, target: usize) -> Option<usize> {
-        if self.budget_exhausted {
-            return None;
-        }
-        // Termination conditions and the equal-marking-ancestor query
-        // share one hash probe. The prune check needs the count of equal
-        // ancestors because equal markings sit inside their own
-        // irrelevance box but are not irrelevance witnesses.
-        let (num_equal, first_equal) = self.tracker.equal_ancestors();
-        self.profile.equal_ancestor_probes += 1;
-        if self.tracker.should_prune(num_equal) {
-            self.profile.irrelevance_cuts += 1;
-            return None;
-        }
-        // Equal-marking ancestor: unique entering point. Record the merge
-        // target now — build_schedule has no stored markings to re-derive
-        // it from later.
-        if let Some(depth) = first_equal {
-            self.profile.equal_ancestor_hits += 1;
-            let u = self.tracker.node_at(depth);
-            self.nodes[v].merge_with = Some(u);
-            return Some(u);
-        }
-        let t_in = self.nodes[v]
-            .in_transition
-            .expect("ep is never called on the root");
-        self.tracker.push_entry(self.net, t_in, v);
-        let result = self.ep_candidates(v, target);
-        if self.budget_exhausted {
-            // The whole search is being abandoned and its tracker dies
-            // with it, so restoring per-frame tracker state is pure
-            // unwind cost — on a deep path it would dwarf the budget
-            // itself (hash-removing every on-path marking). Skip it.
-            return None;
-        }
-        self.tracker.pop_entry(self.net, t_in);
-        result
-    }
-
-    /// The candidate-ECS loop of EP, run while `v` is the top path entry.
-    fn ep_candidates(&mut self, v: usize, target: usize) -> Option<usize> {
-        // Borrow this depth's candidate buffer from the pool (the DFS has
-        // one live frame per depth) and return it on every exit path.
-        let depth = self.nodes[v].depth;
-        if depth >= self.ecs_pool.len() {
-            self.ecs_pool.resize_with(depth + 1, Vec::new);
-        }
-        let mut candidates = std::mem::take(&mut self.ecs_pool[depth]);
-        self.fill_candidate_ecs(&mut candidates);
-        let mut best: Option<usize> = None;
-        let mut early: Option<Option<usize>> = None;
-        for &e in &candidates {
-            let result = self.ep_ecs(e, v, target);
-            if self.budget_exhausted {
-                early = Some(None);
-                break;
-            }
-            if let Some(u) = result {
-                if self.on_path_is_ancestor(u, target) || self.options.greedy_entering_point {
-                    // An ancestor of the target is always good enough; in
-                    // greedy mode any defined entering point is accepted
-                    // rather than searching all ECSs for the minimum.
-                    self.nodes[v].chosen_ecs = Some(e);
-                    early = Some(Some(u));
-                    break;
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => self.nodes[u].depth < self.nodes[b].depth,
-                };
-                if better {
-                    self.nodes[v].chosen_ecs = Some(e);
-                    best = Some(u);
-                }
-            }
-        }
-        self.ecs_pool[depth] = candidates;
-        early.unwrap_or(best)
-    }
-
-    /// The EP_ECS function of Figure 9(b): the entering point of ECS `e`
-    /// enabled at node `v`, i.e. the minimum over the entering points of
-    /// the children created for each transition of the ECS, provided each
-    /// of them is a proper ancestor of `v`.
-    fn ep_ecs(&mut self, e: EcsId, v: usize, target: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        let mut current_target = target;
-        // Iterate members by index: taking a slice would borrow `self.ecs`
-        // across the recursive `self.ep(..)` call, and cloning it into a
-        // Vec would allocate on the hot path.
-        for mi in 0..self.ecs.members(e).len() {
-            let t = self.ecs.members(e)[mi];
-            if self.nodes.len() >= self.options.max_nodes {
-                self.budget_exhausted = true;
-                return None;
-            }
-            // The cooperative budget charges one step per node expansion
-            // (clock and cancellation flag amortized inside the checker).
-            if let Some(checker) = self.budget.as_deref_mut() {
-                self.profile.budget_checks += 1;
-                if let Some(stop) = checker.step() {
-                    self.budget_stop = Some(stop);
-                    self.budget_exhausted = true;
-                    return None;
-                }
-            }
-            self.tracker.fire(self.net, t);
-            self.profile.nodes_expanded += 1;
-            let w = self.nodes.len();
-            let depth = self.nodes[v].depth + 1;
-            self.nodes.push(TreeNode {
-                in_transition: Some(t),
-                depth,
-                children: Vec::new(),
-                chosen_ecs: None,
-                merge_with: None,
-            });
-            self.nodes[v].children.push((t, w));
-            let ep = self.ep(w, current_target);
-            if self.budget_exhausted {
-                // Abandoned search: skip the marking restore (see `ep`).
-                return None;
-            }
-            self.tracker.unfire(self.net, t);
-            match ep {
-                // The child's entering point must be `v` itself or an
-                // ancestor of `v` (Sec. 5.1); anything deeper (or UNDEF)
-                // means this ECS has no entering point.
-                Some(u) if self.on_path_is_ancestor(u, v) => {
-                    best = Some(match best {
-                        None => u,
-                        Some(b) => {
-                            if self.nodes[u].depth < self.nodes[b].depth {
-                                u
-                            } else {
-                                b
-                            }
+    /// EP(v, target) finds an entering point of `v` that is an ancestor of
+    /// `target` if possible, otherwise the one closest to the root,
+    /// otherwise `None`; EP_ECS(e, v) is the minimum over the entering
+    /// points of the children created for each member of ECS `e`,
+    /// provided each is `v` or an ancestor of `v`. The mutual recursion of
+    /// the figure becomes one loop over a stack of [`Frame`]s, one per
+    /// expanded node on the path. While a frame is live its node is a path
+    /// entry of the tracker; a node that is pruned or closes a cycle never
+    /// gets one.
+    fn ep(&mut self) -> std::result::Result<Option<usize>, Abandon> {
+        let net = self.net;
+        let ecs = self.ecs;
+        let mut frames: Vec<Frame> = Vec::new();
+        let mut live = 0;
+        let mut step = Step::Enter(1, 0);
+        loop {
+            step = match step {
+                Step::Enter(v, target) => {
+                    // Termination conditions and the equal-marking-ancestor
+                    // query share one hash probe. The prune check needs the
+                    // count of equal ancestors because equal markings sit
+                    // inside their own irrelevance box but are not
+                    // irrelevance witnesses.
+                    let (num_equal, first_equal) = self.tracker.equal_ancestors();
+                    self.profile.equal_ancestor_probes += 1;
+                    if self.tracker.should_prune(num_equal) {
+                        self.profile.irrelevance_cuts += 1;
+                        Step::Return(None)
+                    } else if let Some(depth) = first_equal {
+                        // Equal-marking ancestor: unique entering point.
+                        // Record the merge target now — build_schedule has
+                        // no stored markings to re-derive it from later.
+                        self.profile.equal_ancestor_hits += 1;
+                        let u = self.tracker.node_at(depth);
+                        self.nodes[v].merge_with = Some(u);
+                        Step::Return(Some(u))
+                    } else {
+                        let t_in = self.nodes[v]
+                            .in_transition
+                            .expect("the root is never entered");
+                        self.tracker.push_entry(net, t_in, v);
+                        if live == frames.len() {
+                            frames.push(Frame::default());
                         }
-                    });
-                    if self.on_path_is_ancestor(best.unwrap(), target) {
-                        current_target = v;
+                        let frame = &mut frames[live];
+                        live += 1;
+                        frame.v = v;
+                        frame.target = target;
+                        frame.cursor = 0;
+                        frame.best = None;
+                        self.fill_candidate_ecs(&mut frame.candidates);
+                        Step::NextEcs
                     }
                 }
-                _ => {
-                    self.profile.backtracks += 1;
-                    return None;
+                Step::Return(ep) => {
+                    let Some(top) = live.checked_sub(1) else {
+                        return Ok(ep);
+                    };
+                    let frame = &mut frames[top];
+                    let t = ecs.members(frame.candidates[frame.cursor])[frame.member];
+                    self.tracker.unfire(net, t);
+                    match ep {
+                        // The child's entering point must be `v` itself or
+                        // an ancestor of `v` (Sec. 5.1); anything deeper
+                        // (or UNDEF) means this ECS has no entering point.
+                        Some(u) if self.on_path_is_ancestor(u, frame.v) => {
+                            let best = match frame.ecs_best {
+                                Some(b) if self.nodes[b].depth <= self.nodes[u].depth => b,
+                                _ => u,
+                            };
+                            frame.ecs_best = Some(best);
+                            if self.on_path_is_ancestor(best, frame.target) {
+                                frame.current_target = frame.v;
+                            }
+                            frame.member += 1;
+                            Step::NextMember
+                        }
+                        _ => {
+                            self.profile.backtracks += 1;
+                            Step::EcsDone(None)
+                        }
+                    }
                 }
-            }
+                Step::NextMember => {
+                    let frame = &frames[live - 1];
+                    let members = ecs.members(frame.candidates[frame.cursor]);
+                    match members.get(frame.member) {
+                        None => Step::EcsDone(frame.ecs_best),
+                        Some(&t) => {
+                            if self.nodes.len() >= self.options.max_nodes {
+                                return Err(Abandon::MaxNodes);
+                            }
+                            // The cooperative budget charges one step per
+                            // node expansion (clock and cancellation flag
+                            // amortized inside the checker).
+                            if let Some(checker) = self.budget.as_deref_mut() {
+                                self.profile.budget_checks += 1;
+                                if let Some(stop) = checker.step() {
+                                    return Err(Abandon::Budget(stop));
+                                }
+                            }
+                            self.tracker.fire(net, t);
+                            self.profile.nodes_expanded += 1;
+                            let w = self.nodes.len();
+                            let v = frame.v;
+                            self.nodes.push(TreeNode {
+                                in_transition: Some(t),
+                                depth: self.nodes[v].depth + 1,
+                                children: Vec::new(),
+                                chosen_ecs: None,
+                                merge_with: None,
+                            });
+                            self.nodes[v].children.push((t, w));
+                            Step::Enter(w, frame.current_target)
+                        }
+                    }
+                }
+                Step::EcsDone(ep) => {
+                    let frame = &mut frames[live - 1];
+                    let e = frame.candidates[frame.cursor];
+                    frame.cursor += 1;
+                    match ep {
+                        // An ancestor of the target is always good enough;
+                        // in greedy mode any defined entering point is
+                        // accepted rather than searching all ECSs for the
+                        // minimum.
+                        Some(u)
+                            if self.on_path_is_ancestor(u, frame.target)
+                                || self.options.greedy_entering_point =>
+                        {
+                            self.nodes[frame.v].chosen_ecs = Some(e);
+                            frame.best = Some(u);
+                            // Skip the remaining candidates.
+                            frame.cursor = frame.candidates.len();
+                        }
+                        Some(u)
+                            if frame
+                                .best
+                                .is_none_or(|b| self.nodes[u].depth < self.nodes[b].depth) =>
+                        {
+                            self.nodes[frame.v].chosen_ecs = Some(e);
+                            frame.best = Some(u);
+                        }
+                        _ => {}
+                    }
+                    Step::NextEcs
+                }
+                Step::NextEcs => {
+                    let frame = &mut frames[live - 1];
+                    if frame.cursor < frame.candidates.len() {
+                        frame.member = 0;
+                        frame.ecs_best = None;
+                        frame.current_target = frame.target;
+                        Step::NextMember
+                    } else {
+                        live -= 1;
+                        let t_in = self.nodes[frame.v]
+                            .in_transition
+                            .expect("the root is never entered");
+                        self.tracker.pop_entry(net, t_in);
+                        Step::Return(frame.best)
+                    }
+                }
+            };
         }
-        best
     }
 
     /// Post-processing: retain the chosen-ECS part of the tree and close
     /// the cycles by merging each retained leaf with its equal-marking
     /// ancestor. Markings are reconstructed by replaying transitions over
-    /// one scratch marking along the retained tree (the search itself
-    /// stored none) and hash-consed straight into the schedule's
-    /// [`MarkingStore`] — revisited markings never get a second slab slot.
+    /// one scratch marking along a depth-first walk of the retained tree
+    /// (the search itself stored none) and hash-consed straight into the
+    /// schedule's [`MarkingStore`] — revisited markings never get a second
+    /// slab slot. Schedule nodes are numbered in pre-order.
     fn build_schedule(&self) -> Schedule {
-        let mut map: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut build = ScheduleBuild {
-            store: MarkingStore::with_stride(self.net.num_places()),
-            nodes: Vec::new(),
-        };
+        let mut store = MarkingStore::with_stride(self.net.num_places());
         let mut scratch = self.net.initial_marking();
-        self.assign(0, &mut scratch, &mut map, &mut build);
-        Schedule::from_interned(self.source, build.store, build.nodes)
-    }
-
-    fn assign(
-        &self,
-        v: usize,
-        scratch: &mut Marking,
-        map: &mut BTreeMap<usize, usize>,
-        build: &mut ScheduleBuild,
-    ) -> usize {
-        if let Some(&id) = map.get(&v) {
-            return id;
-        }
-        match self.nodes[v].chosen_ecs {
-            Some(ecs) => {
-                let id = build.nodes.len();
-                let marking = build.store.intern(scratch.as_slice());
-                build.nodes.push((marking, Vec::new()));
-                map.insert(v, id);
-                let mut edges = Vec::new();
-                for (t, w) in &self.nodes[v].children {
-                    if self.ecs.ecs_of(*t) == ecs {
-                        self.net.fire_into(*t, scratch);
-                        let target = self.assign(*w, scratch, map, build);
-                        self.net.unfire_into(*t, scratch);
-                        edges.push((*t, NodeId(target as u32)));
-                    }
+        let mut nodes: Vec<(MarkingId, Vec<(TransitionId, NodeId)>)> =
+            vec![(store.intern(scratch.as_slice()), Vec::new())];
+        // Schedule node of every retained interior tree node.
+        let mut ids: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
+        ids[0] = Some(NodeId(0));
+        // The retained interior nodes on the walk's path, each with the
+        // index of its next child to visit.
+        let mut path = vec![(0, 0)];
+        while let Some((v, next)) = path.last_mut() {
+            let v = *v;
+            let Some(&(t, w)) = self.nodes[v].children.get(*next) else {
+                path.pop();
+                if let Some(t) = self.nodes[v].in_transition {
+                    self.net.unfire_into(t, &mut scratch);
                 }
-                build.nodes[id].1 = edges;
-                id
+                continue;
+            };
+            *next += 1;
+            if Some(self.ecs.ecs_of(t)) != self.nodes[v].chosen_ecs {
+                continue;
             }
-            None => {
+            let target = if self.nodes[w].chosen_ecs.is_some() {
+                self.net.fire_into(t, &mut scratch);
+                let id = NodeId(nodes.len() as u32);
+                nodes.push((store.intern(scratch.as_slice()), Vec::new()));
+                ids[w] = Some(id);
+                path.push((w, 0));
+                id
+            } else {
                 // Leaf: merge with the (minimal) equal-marking ancestor
-                // recorded when the entering point was found. The ancestor
-                // lies on the DFS path of this reconstruction, so it has
-                // been assigned already.
-                let u = self.nodes[v]
+                // recorded when the entering point was found. The
+                // ancestor lies on this walk's path, so it has been
+                // numbered already.
+                let u = self.nodes[w]
                     .merge_with
                     .expect("retained leaf must have an equal-marking ancestor");
-                let id = *map
-                    .get(&u)
-                    .expect("merge ancestor assigned before its leaves");
-                map.insert(v, id);
-                id
-            }
+                ids[u].expect("merge ancestor numbered before its leaves")
+            };
+            let parent = ids[v].expect("interior node numbered on entry");
+            nodes[parent.index()].1.push((t, target));
         }
+        Schedule::from_interned(self.source, store, nodes)
     }
 }
 

@@ -64,7 +64,6 @@ pub mod termination;
 pub use budget::{BudgetChecker, BudgetConfig, BudgetStop, SearchBudget, CHECK_INTERVAL};
 pub use ep::{
     schedule_system, ScheduleOptions, SearchContext, SearchProfile, SearchStats, SystemSchedules,
-    SEARCH_THREAD_STACK_BYTES,
 };
 pub use error::{Result, ScheduleError};
 pub use independence::{are_independent, channel_bounds, is_independent_set};

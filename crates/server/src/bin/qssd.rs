@@ -23,9 +23,9 @@ USAGE:
 OPTIONS:
     --addr HOST:PORT    listen address (default: 127.0.0.1:0 — the
                         resolved address is printed on stdout)
-    --workers N         admission worker threads, also the bound on
-                        concurrently running schedule searches
-                        (default: min(cores, 8))
+    --workers N         bound on concurrently running schedule searches;
+                        the pool runs 2 x N worker threads, so searches
+                        never hold more than N (default: min(cores, 8))
     --queue N           job-queue bound before `busy` backpressure
                         (default: 4 x workers)
     --cache N           SearchContext cache capacity, 0 disables

@@ -120,8 +120,8 @@ pub(crate) enum Ticket {
 }
 
 /// The table of currently running searches. `join` takes an `Arc`ed
-/// table so the leader's guard can move onto its dedicated search
-/// thread.
+/// table so the leader's guard holds its own handle and can retire the
+/// flight wherever it is dropped.
 #[derive(Default)]
 pub(crate) struct InFlightTable {
     flights: Mutex<HashMap<SearchKey, Arc<Flight>>>,

@@ -16,11 +16,14 @@
 //!   over nonblocking sockets) owns every connection: it reads, parses
 //!   and writes incrementally, so a slow `schedule` on one connection
 //!   never head-of-line-blocks a fast `check` pipelined behind it.
-//! * **Compute split** — a fixed worker pool does fast admission
-//!   (parse, link, analyze); the EP searches themselves run on
-//!   dedicated search threads gated by a slot semaphore, and coalesced
-//!   followers park a continuation on the event loop — neither holds a
-//!   worker while waiting.
+//! * **Compute split** — one fixed pool of `2 × --workers` threads does
+//!   admission (parse, link, analyze) and runs each leader's EP search
+//!   inline while it holds one of `--workers` search slots, so searches
+//!   never occupy more than half the pool. The leader then assembles its
+//!   response (generate, simulate) on the same worker outside the slots;
+//!   that work is not capped. Coalesced followers
+//!   park a continuation on the leader's flight and hold no thread while
+//!   waiting.
 //! * **Context cache** ([`ContextCache`]) — per-net
 //!   [`qss::SearchContext`]s keyed by the order-independent net
 //!   fingerprint (guarded by the ordered digest), LRU-bounded, with
@@ -87,9 +90,11 @@ pub struct ServerConfig {
     /// Listen address; port 0 picks an ephemeral port (read it back via
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads doing request admission (parse / link / analyze).
-    /// Also the bound on concurrently running schedule searches, which
-    /// execute on their own threads gated by a slot semaphore.
+    /// The bound on concurrently running schedule searches. The pool
+    /// runs `2 × workers` threads: a leader searches inline on the
+    /// worker that admitted it while it holds one of `workers` search
+    /// slots, so searches never occupy more than half the pool. Response
+    /// assembly after a search (generate, simulate) holds no slot.
     pub workers: usize,
     /// Bound of the job queue; submissions beyond it are answered with a
     /// typed `busy` error.
@@ -160,7 +165,7 @@ struct Job {
     queued: SpanId,
 }
 
-/// One finished response traveling from a worker / search thread back to
+/// One finished response traveling from a worker back to
 /// the event loop.
 struct Completion {
     conn: u64,
@@ -168,10 +173,10 @@ struct Completion {
     result: Result<Value, WireError>,
 }
 
-/// Everything the event loop, workers and search threads share.
+/// Everything the event loop and the workers share.
 struct ServerState {
     config: ServerConfig,
-    engine: Arc<Engine>,
+    engine: Engine,
     queue: JobQueue<Job>,
     /// Finished responses waiting for the event loop to pick them up.
     completions: Mutex<Vec<Completion>>,
@@ -209,11 +214,11 @@ impl Server {
         let addr = listener.local_addr()?;
         let (wake_rx, wake_tx) = UnixStream::pair()?;
         let state = Arc::new(ServerState {
-            engine: Arc::new(Engine::new(
+            engine: Engine::new(
                 config.cache_capacity,
                 config.workers.max(1),
                 Observer::armed(JOURNAL_CAPACITY),
-            )),
+            ),
             queue: JobQueue::new(config.queue_capacity),
             completions: Mutex::new(Vec::new()),
             wake: wake_tx,
@@ -250,19 +255,14 @@ impl Server {
         // The write end must not block workers posting completions when
         // the event loop is slow to drain the pipe.
         state.wake.set_nonblocking(true)?;
-        let mut workers = Vec::new();
-        for _ in 0..state.config.workers.max(1) {
-            let state = Arc::clone(&state);
-            // Admission work (linking, analysis) recurses over net
-            // structure; give workers search-sized stacks so deep nets
-            // never overflow them (virtual memory — cheap).
-            workers.push(
-                thread::Builder::new()
-                    .stack_size(qss::core::SEARCH_THREAD_STACK_BYTES)
-                    .spawn(move || worker_loop(&state))
-                    .expect("spawn a worker thread"),
-            );
-        }
+        // Searches hold at most `workers` threads (the search slots), so
+        // they never occupy the other half of the pool.
+        let workers: Vec<_> = (0..2 * state.config.workers.max(1))
+            .map(|_| {
+                let state = Arc::clone(&state);
+                thread::spawn(move || worker_loop(&state))
+            })
+            .collect();
         let mut event_loop = EventLoop {
             state: Arc::clone(&state),
             listener: Some(listener),
@@ -281,9 +281,8 @@ impl Server {
         for worker in workers {
             let _ = worker.join();
         }
-        state.engine.join_searches();
-        // Every span has ended by now (all requests answered, all search
-        // threads joined), so the exported trace is complete.
+        // Every span has ended by now (all requests answered, all
+        // workers joined), so the exported trace is complete.
         if let Some(path) = &state.config.trace_out {
             if let Some(mut trace) = state.engine.observer.export_chrome_trace() {
                 trace.push('\n');
@@ -371,9 +370,8 @@ fn worker_loop(state: &Arc<ServerState>) {
         }
         let reply_state = Arc::clone(state);
         let reply: Reply = Box::new(move |result| reply_state.post(conn, seq, result));
-        let engine = Arc::clone(&state.engine);
         if catch_unwind(AssertUnwindSafe(|| {
-            engine.handle(request, deadline, span, reply)
+            state.engine.handle(request, deadline, span, reply)
         }))
         .is_err()
         {
@@ -579,7 +577,7 @@ impl EventLoop {
         }
     }
 
-    /// Moves finished responses from workers / search threads onto their
+    /// Moves finished responses from the workers onto their
     /// connections. Completions for already-answered (or vanished)
     /// sequences are dropped — which is what makes double-posting after
     /// a panic, and late results after a deadline expiry, harmless.

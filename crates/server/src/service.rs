@@ -3,14 +3,16 @@
 //! through the `schedule`-bearing paths.
 //!
 //! The engine is **completion-based**: [`Engine::handle`] takes a reply
-//! callback instead of returning a value, because schedule-bearing
-//! requests finish on a different thread than they start on. A worker
-//! does only fast admission work (parse, link, cache lookups); the EP
-//! search itself runs on a dedicated search thread gated by a slot
-//! semaphore sized to the worker count, and coalesced followers park a
-//! continuation on the leader's flight — neither holds a worker while it
-//! waits. The reply callback posts the finished response back to the
-//! connection core's event loop.
+//! callback instead of returning a value, because a coalesced follower
+//! finishes on a different thread than it starts on. A leader runs its
+//! EP search inline on the worker that admitted it, holding one of the
+//! search slots (a semaphore sized to `--workers`); coalesced followers
+//! park a continuation on the leader's flight and hold no thread while
+//! they wait. The pool runs twice as many workers as there are slots, so
+//! searches never occupy more than half of it; the leader's response
+//! assembly after its search (generate, simulate) holds no slot. The reply
+//! callback posts the finished response back to the connection core's
+//! event loop.
 
 use crate::cache::ContextCache;
 use crate::coalesce::{InFlightTable, SearchKey, SearchOutcome, SharedSearch, Ticket};
@@ -20,15 +22,13 @@ use qss::{LinkedArtifact, Pipeline, QssError, SearchContext, SystemSchedules};
 use qss_obs::{Counter, Observer, SpanId};
 use serde_json::Value;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 /// How a finished response travels back to the connection core. Called
-/// exactly once, possibly from a worker, a search thread, or (for
-/// coalesced followers) the leader's search thread.
+/// exactly once, from the worker that admitted the request or (for
+/// coalesced followers) from the leader's worker.
 pub(crate) type Reply = Box<dyn FnOnce(Result<Value, WireError>) + Send>;
 
 /// The protocol-visible counters (cache counters live in the caches).
@@ -46,7 +46,7 @@ pub(crate) struct Counters {
     pub coalesced: Counter,
     pub timeouts: Counter,
     pub cancelled: Counter,
-    /// Schedule searches actually spawned; coalesced followers share
+    /// Schedule searches actually run; coalesced followers share
     /// their leader's search, so this lags `requests` under duplicate
     /// load — the service's whole point.
     pub searches: Counter,
@@ -160,9 +160,9 @@ impl ReportCache {
 }
 
 /// A counting semaphore bounding concurrently running schedule searches
-/// to the worker count: admission stays responsive (workers are never
-/// consumed by searches), while search parallelism keeps the same bound
-/// it had when searches ran *on* the workers.
+/// to the `--workers` count. Searches run on pool workers, and the pool
+/// has twice that many threads, so searches never take every worker:
+/// admission stays responsive while every slot is searching.
 struct SearchSlots {
     capacity: usize,
     available: AtomicUsize,
@@ -206,8 +206,7 @@ impl Drop for SlotPermit {
 }
 
 /// The compute side of the server: everything workers need to execute a
-/// pipeline request. Shared behind an [`Arc`] across worker and search
-/// threads.
+/// pipeline request. Shared behind an [`Arc`] across the worker threads.
 pub(crate) struct Engine {
     pub cache: ContextCache,
     pub reports: ReportCache,
@@ -218,21 +217,18 @@ pub(crate) struct Engine {
     /// recording site into a single-branch no-op.
     pub observer: Observer,
     slots: Arc<SearchSlots>,
-    /// Live search threads, pruned opportunistically and joined at
-    /// shutdown so a drain never abandons a running search.
-    search_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Engine {
-    pub fn new(cache_capacity: usize, workers: usize, observer: Observer) -> Self {
+    /// An engine allowing `search_slots` concurrent schedule searches.
+    pub fn new(cache_capacity: usize, search_slots: usize, observer: Observer) -> Self {
         let engine = Engine {
             cache: ContextCache::new(cache_capacity),
             reports: ReportCache::new(cache_capacity),
             inflight: Arc::new(InFlightTable::new()),
             counters: Counters::default(),
             observer,
-            slots: SearchSlots::new(workers.max(1)),
-            search_threads: Mutex::new(Vec::new()),
+            slots: SearchSlots::new(search_slots.max(1)),
         };
         // Adopt every counter cell into the registry: `stats` (which
         // reads the structs) and `metrics` (which reads the registry)
@@ -246,17 +242,11 @@ impl Engine {
     /// Executes one pipeline request (`check` / `analyze` / `link` /
     /// `schedule` / `generate` / `simulate`), bounded by the request's
     /// deadline when the server runs with `--request-timeout`, and
-    /// delivers the result through `reply` — inline for the fast kinds,
-    /// from a search thread for the schedule-bearing ones. Control
+    /// delivers the result through `reply` — on this thread, except for
+    /// coalesced followers, which the leader's worker answers. Control
     /// requests (`stats`, `shutdown`) never reach the engine — the
     /// connection layer answers them without queueing.
-    pub fn handle(
-        self: &Arc<Self>,
-        request: Request,
-        deadline: Option<Instant>,
-        span: SpanId,
-        reply: Reply,
-    ) {
+    pub fn handle(&self, request: Request, deadline: Option<Instant>, span: SpanId, reply: Reply) {
         let source = match request.source.as_deref() {
             Some(source) => source,
             None => {
@@ -319,10 +309,10 @@ impl Engine {
     /// Stage 2 with the service optimizations: the per-net
     /// [`SearchContext`] comes from the fingerprint-keyed cache,
     /// concurrent searches for the same `(fingerprint, digest, config)`
-    /// are coalesced into one, and the search itself runs on a dedicated
-    /// thread — the calling worker returns immediately.
+    /// are coalesced into one, and the leader searches on the calling
+    /// worker while it holds a search slot.
     fn scheduled(
-        self: &Arc<Self>,
+        &self,
         linked: LinkedArtifact,
         request: Request,
         deadline: Option<Instant>,
@@ -343,7 +333,7 @@ impl Engine {
                 let observer = self.observer.clone();
                 let wait = observer.span_begin("coalesced_wait", span, "worker");
                 flight.subscribe(Box::new(move |outcome| {
-                    observer.span_end(wait, "coalesced_wait", "search");
+                    observer.span_end(wait, "coalesced_wait", "worker");
                     reply(finish(linked, &request, outcome.clone()));
                 }));
             }
@@ -364,108 +354,32 @@ impl Engine {
                     return reply(Err(busy));
                 };
                 self.counters.searches.inc();
-                self.spawn_search(guard, permit, linked, request, deadline, span, reply);
-            }
-        }
-    }
-
-    /// Runs the leader's search on a dedicated thread: searches must not
-    /// occupy workers (admission stays live while every slot is
-    /// searching), and the recursive EP search needs a search-sized
-    /// stack. Publishes to the flight, then assembles the leader's own
-    /// response.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_search(
-        self: &Arc<Self>,
-        guard: crate::coalesce::LeaderGuard,
-        permit: SlotPermit,
-        linked: LinkedArtifact,
-        request: Request,
-        deadline: Option<Instant>,
-        span: SpanId,
-        reply: Reply,
-    ) {
-        let engine = Arc::clone(self);
-        let search_span = self.observer.span_begin("search", span, "worker");
-        // Keep one handle on the reply so a failed thread spawn can still
-        // answer the request instead of stranding the connection.
-        let shared_reply = Arc::new(Mutex::new(Some(reply)));
-        let thread_reply = Arc::clone(&shared_reply);
-        let spawned = thread::Builder::new()
-            .name("qssd-search".to_string())
-            .stack_size(qss::core::SEARCH_THREAD_STACK_BYTES)
-            .spawn(move || {
-                // A panicking search must still answer: the guard (moved
-                // into the closure) publishes an internal error to the
-                // followers on unwind, and the fallback below answers the
-                // leader.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let (context, cache_hit) = engine.cache.get_or_build(
-                        linked.fingerprint(),
-                        linked.ordered_digest(),
-                        || SearchContext::new(&linked.system.net),
-                    );
-                    let outcome =
-                        run_search(&linked, &context, deadline).map(|schedules| SharedSearch {
-                            schedules: Arc::new(schedules),
-                            context,
-                            cache_hit,
-                        });
-                    if matches!(&outcome, Err(e) if e.kind == ErrorKind::Timeout) {
-                        // The search itself was cancelled mid-flight (as
-                        // opposed to a response merely classified
-                        // `timeout`).
-                        engine.counters.cancelled.inc();
-                    }
-                    engine.observer.span_end(search_span, "search", "search");
-                    guard.complete(outcome.clone());
-                    // The slot frees the moment the search is decided:
-                    // assembling the response (the generate/simulate
-                    // stages) must not make the next schedule see
-                    // `busy`, nor may the gap between this thread's
-                    // reply and its exit.
-                    drop(permit);
-                    finish(linked, &request, outcome)
-                }))
-                .unwrap_or_else(|_| {
-                    Err(WireError::new(
-                        ErrorKind::Internal,
-                        "the schedule search panicked",
-                    ))
+                // A panic from here on unwinds through the guard, whose
+                // drop answers the followers, and the permit; the
+                // worker's own handler answers the leader.
+                let search_span = self.observer.span_begin("search", span, "worker");
+                let (context, cache_hit) = self.cache.get_or_build(fingerprint, digest, || {
+                    SearchContext::new(&linked.system.net)
                 });
-                if let Some(reply) = lock(&thread_reply).take() {
-                    reply(result);
+                let outcome =
+                    run_search(&linked, &context, deadline).map(|schedules| SharedSearch {
+                        schedules: Arc::new(schedules),
+                        context,
+                        cache_hit,
+                    });
+                if matches!(&outcome, Err(e) if e.kind == ErrorKind::Timeout) {
+                    // The search itself was cancelled mid-flight (as
+                    // opposed to a response merely classified `timeout`).
+                    self.counters.cancelled.inc();
                 }
-            });
-        match spawned {
-            Ok(handle) => self.track_search(handle),
-            Err(_) => {
-                // Spawn failure dropped the closure, and with it the
-                // guard (followers got their internal error); answer the
-                // leader through the retained reply handle.
-                if let Some(reply) = lock(&shared_reply).take() {
-                    reply(Err(WireError::new(
-                        ErrorKind::Internal,
-                        "could not spawn a search thread",
-                    )));
-                }
+                self.observer.span_end(search_span, "search", "worker");
+                guard.complete(outcome.clone());
+                // The slot frees the moment the search is decided:
+                // assembling the response (the generate/simulate stages)
+                // must not make the next schedule see `busy`.
+                drop(permit);
+                reply(finish(linked, &request, outcome));
             }
-        }
-    }
-
-    fn track_search(&self, handle: JoinHandle<()>) {
-        let mut threads = lock(&self.search_threads);
-        threads.retain(|t| !t.is_finished());
-        threads.push(handle);
-    }
-
-    /// Joins every live search thread; the shutdown drain calls this so
-    /// in-flight searches publish their results (and those results are
-    /// written) before the process exits.
-    pub fn join_searches(&self) {
-        let threads: Vec<_> = lock(&self.search_threads).drain(..).collect();
-        for thread in threads {
-            let _ = thread.join();
         }
     }
 }
@@ -473,7 +387,7 @@ impl Engine {
 /// Assembles a schedule-bearing response from the shared search outcome:
 /// attach the schedules to this request's own linked artifact, then run
 /// the remaining stages the request kind asks for. Runs on the leader's
-/// search thread — for the leader itself and for every parked follower.
+/// worker — for the leader itself and for every parked follower.
 fn finish(
     linked: LinkedArtifact,
     request: &Request,
@@ -561,6 +475,7 @@ fn to_value<T: serde::Serialize>(value: &T) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread;
 
     fn entry(n: u64) -> Value {
         Value::String(format!("report-{n}"))

@@ -16,6 +16,7 @@
 
 use qss::remote::{parse_response, with_retry, Client, ClientError, ErrorKind, RetryPolicy};
 use qss::PipelineConfig;
+use qss_bench::testgen::divider_chain_source as pathological_source;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -143,33 +144,6 @@ fn schedule_request_line(source: &str, config: Option<&PipelineConfig>) -> Strin
         include_task: false,
     };
     serde_json::to_string(&request.to_value()).expect("request serializes")
-}
-
-/// A divider chain as FlowC source: stage `i` consumes `k` items per
-/// firing, so scheduling the environment input takes `k^depth` source
-/// firings — a search that runs far beyond any sane deadline, which is
-/// exactly what the budget tests need.
-fn pathological_source(depth: usize, k: u32) -> String {
-    let mut out = String::from("SYSTEM chain {\n");
-    for i in 0..depth {
-        out.push_str(&format!("    CHANNEL s{i}.out -> s{}.inp;\n", i + 1));
-    }
-    out.push_str("}\n");
-    out.push_str(
-        "PROCESS s0 (In DPORT go, Out DPORT out) {\n\
-         \x20   int x;\n\
-         \x20   while (1) { READ_DATA(go, x, 1); WRITE_DATA(out, x, 1); }\n\
-         }\n",
-    );
-    for i in 1..=depth {
-        out.push_str(&format!(
-            "PROCESS s{i} (In DPORT inp, Out DPORT out) {{\n\
-             \x20   int x;\n\
-             \x20   while (1) {{ READ_DATA(inp, x, {k}); WRITE_DATA(out, x, 1); }}\n\
-             }}\n"
-        ));
-    }
-    out
 }
 
 /// A config whose search budget trips long before the node cap does.

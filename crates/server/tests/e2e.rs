@@ -7,6 +7,7 @@
 
 use qss::remote::Client;
 use qss::{EnvEvent, Pipeline};
+use qss_bench::testgen::divider_chain_source as pathological_source;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -366,32 +367,6 @@ fn busy_rejections_are_ridden_out_by_the_deterministic_retry_policy() {
     );
     client.shutdown().expect("shutdown");
     daemon.assert_clean_exit();
-}
-
-/// A divider chain: stage `i` consumes `k` items per firing, so the
-/// environment input must fire `k^depth` times per schedule — a search
-/// that outlives any sane deadline (the chaos suite shares this shape).
-fn pathological_source(depth: usize, k: u32) -> String {
-    let mut out = String::from("SYSTEM chain {\n");
-    for i in 0..depth {
-        out.push_str(&format!("    CHANNEL s{i}.out -> s{}.inp;\n", i + 1));
-    }
-    out.push_str("}\n");
-    out.push_str(
-        "PROCESS s0 (In DPORT go, Out DPORT out) {\n\
-         \x20   int x;\n\
-         \x20   while (1) { READ_DATA(go, x, 1); WRITE_DATA(out, x, 1); }\n\
-         }\n",
-    );
-    for i in 1..=depth {
-        out.push_str(&format!(
-            "PROCESS s{i} (In DPORT inp, Out DPORT out) {{\n\
-             \x20   int x;\n\
-             \x20   while (1) {{ READ_DATA(inp, x, {k}); WRITE_DATA(out, x, 1); }}\n\
-             }}\n"
-        ));
-    }
-    out
 }
 
 /// The acceptance test for the out-of-order connection core: on ONE

@@ -4,6 +4,7 @@
 //! A mini-fuzz in the spirit of `tests/parser_fuzz.rs` closes the suite.
 
 use qss::remote::{Client, ClientError, ErrorKind, Request, RequestKind};
+use qss_bench::testgen::divider_chain_source as pathological_source;
 use qss_server::{Server, ServerConfig};
 
 const ECHO: &str = r#"
@@ -168,32 +169,6 @@ fn mini_fuzz_mutated_requests_never_kill_the_server() {
     let stats = client.stats().unwrap();
     assert!(stats.requests as usize >= lines.len());
     server.shutdown_and_join().unwrap();
-}
-
-/// A divider chain whose full search fires the source `k^depth` times —
-/// with a millisecond budget it becomes a slow, self-cancelling request
-/// (the e2e and chaos suites share this shape).
-fn pathological_source(depth: usize, k: u32) -> String {
-    let mut out = String::from("SYSTEM chain {\n");
-    for i in 0..depth {
-        out.push_str(&format!("    CHANNEL s{i}.out -> s{}.inp;\n", i + 1));
-    }
-    out.push_str("}\n");
-    out.push_str(
-        "PROCESS s0 (In DPORT go, Out DPORT out) {\n\
-         \x20   int x;\n\
-         \x20   while (1) { READ_DATA(go, x, 1); WRITE_DATA(out, x, 1); }\n\
-         }\n",
-    );
-    for i in 1..=depth {
-        out.push_str(&format!(
-            "PROCESS s{i} (In DPORT inp, Out DPORT out) {{\n\
-             \x20   int x;\n\
-             \x20   while (1) {{ READ_DATA(inp, x, {k}); WRITE_DATA(out, x, 1); }}\n\
-             }}\n"
-        ));
-    }
-    out
 }
 
 /// A schedule request that holds its search slot for `deadline_ms`

@@ -47,17 +47,46 @@ impl MultiTaskConfig {
 /// Runs the system as one task per process under a round-robin RTOS.
 ///
 /// # Errors
-/// Returns [`SimError`] on deadlock (e.g. a multi-rate write larger than
-/// the configured buffers), unknown event ports, or when the step budget
-/// is exhausted.
+/// Returns [`SimError`] on deadlock, unknown event ports, or when the
+/// step budget is exhausted. A channel whose buffer is smaller than one
+/// of its transfers (a read or write rate above the capacity) could
+/// never complete that transfer, so it is a [`SimError::Deadlock`]
+/// before the run starts.
 pub fn run_multitask(
     system: &LinkedSystem,
     events: &[EnvEvent],
     config: &MultiTaskConfig,
 ) -> Result<SimReport> {
     let mut sim = MultiSim::new(system, config);
+    check_capacities(system, &sim.channels)?;
     sim.run(events)?;
     Ok(sim.report)
+}
+
+/// Fails if some bounded channel is touched by an arc heavier than its
+/// capacity: such a write never fits and such a read never finds enough
+/// data.
+fn check_capacities(system: &LinkedSystem, channels: &ChannelState) -> Result<()> {
+    let net = &system.net;
+    let mut rates = vec![0u32; net.num_places()];
+    for t in net.transition_ids() {
+        for &(p, w) in net.preset(t).iter().chain(net.postset(t)) {
+            rates[p.index()] = rates[p.index()].max(w);
+        }
+    }
+    for channel in &system.channels {
+        let rate = rates[channel.place.index()];
+        match channels.capacity(channel.place) {
+            Some(capacity) if rate as usize > capacity => {
+                return Err(SimError::Deadlock(format!(
+                    "channel `{}` moves {rate} items per transfer but its buffer holds {capacity}",
+                    channel.name
+                )))
+            }
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// Data movement context handed to the statement interpreter.

@@ -144,6 +144,37 @@ fn pfc_end_to_end_matches_reference_and_paper_shape() {
     assert!(report.ratio > 3.0);
 }
 
+/// A multi-task buffer smaller than a port rate can never complete that
+/// transfer: the run fails with a typed deadlock naming the channel, its
+/// rate and its capacity, instead of stopping early with outputs that
+/// silently disagree.
+#[test]
+fn multitask_buffer_below_a_port_rate_is_a_typed_deadlock() {
+    const BATCHER: &str = "SYSTEM batcher {\n    CHANNEL feed.out -> sum.inp;\n}\n\
+        PROCESS feed (In DPORT go, Out DPORT out) {\n    int x;\n    \
+        while (1) { READ_DATA(go, x, 1); WRITE_DATA(out, x, 1); }\n}\n\
+        PROCESS sum (In DPORT inp, Out DPORT total) {\n    int v[8];\n    \
+        while (1) { READ_DATA(inp, v, 8); WRITE_DATA(total, v[0] + v[7], 1); }\n}\n";
+    let mut task = Pipeline::from_source(BATCHER)
+        .and_then(|p| p.link())
+        .and_then(|l| l.schedule())
+        .and_then(|s| s.generate())
+        .unwrap();
+    let events: Vec<EnvEvent> = (1..=16).map(|v| EnvEvent::new("feed", "go", v)).collect();
+    task.config.multitask_buffer_size = 4;
+    match task.simulate(&events) {
+        Err(QssError::Sim(qss_sim::SimError::Deadlock(message))) => {
+            assert!(message.contains("`feed_out__sum_inp`"), "{message}");
+            assert!(message.contains('8') && message.contains('4'), "{message}");
+        }
+        other => panic!("expected a deadlock error, got {other:?}"),
+    }
+    task.config.multitask_buffer_size = 8;
+    let sim = task.simulate(&events).unwrap();
+    assert!(sim.outputs_match);
+    assert_eq!(sim.single.output("sum", "total"), &[9, 25]);
+}
+
 #[test]
 fn divisors_task_computes_divisors_end_to_end() {
     let spec = SystemSpec::new("divisors_system")

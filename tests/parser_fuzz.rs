@@ -228,3 +228,64 @@ fn deep_nesting_errors_and_long_chains_drop_safely() {
     );
     assert!(parse_system(&long_chain).is_ok());
 }
+
+/// A source nested exactly to the parser's limit (256 levels):
+/// `if_levels` nested `if` blocks inside a `while`, around one assignment
+/// whose right-hand side sits in `paren_levels` parentheses. Every
+/// statement costs one level, an expression one more, and each
+/// parenthesis two (its inner expression plus the unary level in front
+/// of it), so the innermost operand sits `if_levels + 2 * paren_levels
+/// + 4` levels deep.
+fn nested_to(if_levels: usize, paren_levels: usize) -> String {
+    format!(
+        "SYSTEM nest {{\n}}\nPROCESS p (In DPORT a, Out DPORT o) {{\n    int x;\n    \
+         while (1) {{\n        READ_DATA(a, x, 1);\n        {}x = {}x{};{}\n        \
+         WRITE_DATA(o, x, 1);\n    }}\n}}\n",
+        "if (x) { ".repeat(if_levels),
+        "(".repeat(paren_levels),
+        ")".repeat(paren_levels),
+        " }".repeat(if_levels),
+    )
+}
+
+/// Admission at the nesting limit needs no special stack: the deepest
+/// source the parser accepts parses, links and analyzes on a spawned
+/// thread with the default stack size, and a one-worker in-process
+/// daemon (whose workers run on default stacks) answers `check` and
+/// `analyze` for it.
+#[test]
+fn sources_at_the_nesting_limit_are_admitted_on_default_stacks() {
+    let at_limit = nested_to(126, 63);
+    let beyond = nested_to(127, 63);
+    match parse_system(&beyond) {
+        Err(FlowCError::Parse { message, .. }) => {
+            assert!(message.contains("nested deeper than 256"), "{message}")
+        }
+        other => panic!("one level past the limit must fail to parse: {other:?}"),
+    }
+    let local = {
+        let source = at_limit.clone();
+        std::thread::spawn(move || {
+            let linked = qss::Pipeline::from_source(&source)
+                .expect("the source at the limit parses")
+                .link()
+                .expect("the source at the limit links");
+            linked.analyze().to_json()
+        })
+        .join()
+        .expect("parse, link and analyze fit a default stack")
+    };
+
+    let server = qss_server::Server::bind(qss_server::ServerConfig {
+        workers: 1,
+        ..qss_server::ServerConfig::default()
+    })
+    .expect("bind an ephemeral port")
+    .spawn();
+    let mut client = qss_server::Client::connect(server.addr()).expect("connect");
+    let summary = client.check(&at_limit).expect("check at the limit");
+    assert_eq!(summary.system, "nest");
+    let remote = client.analyze(&at_limit).expect("analyze at the limit");
+    assert_eq!(remote.artifact_json(), local);
+    server.shutdown_and_join().expect("clean shutdown");
+}
