@@ -18,14 +18,20 @@
 //! the original engine did. The `server/schedule_warm_vs_cold` case
 //! closes the loop end-to-end: a real `qssd` over loopback TCP with its
 //! context cache enabled (warm) against one with the cache disabled
-//! (cold, the reference column).
+//! (cold, the reference column). The deep-path cases
+//! (`divider_chain_depth/*`, `over_degree_no_heuristics/*`) have no
+//! reference column (`null`): the oracle takes seconds per search there.
+//! The top-level `divider_chain_depth` record gives their best time per
+//! schedule node and its growth from the shallow to the deep chain.
 //!
 //! Run with `cargo run -p qss_bench --release --bin bench_json`.
 //! Set `QSS_BENCH_FAST=1` for a quick smoke run with fewer samples.
 
 use proptest::{Strategy, TestRng};
 use qss_bench::experiments::divider_net;
-use qss_bench::testgen::{ballast_source, build_random, hub_net_strategy};
+use qss_bench::testgen::{
+    ballast_source, build_random, divider_chain_source, hub_net_strategy, over_degree_chain_source,
+};
 use qss_core::{
     reference, Schedule, ScheduleOptions, SearchBudget, SearchContext, SearchProfile,
     TerminationKind,
@@ -43,13 +49,14 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One measured case: the incremental engine against the oracle.
+/// One measured case: the incremental engine against the oracle, if the
+/// case has one.
 struct CaseResult {
     name: String,
     best_ms: f64,
     median_ms: f64,
-    reference_best_ms: f64,
-    reference_median_ms: f64,
+    /// Best and median of the reference column.
+    reference: Option<(f64, f64)>,
 }
 
 /// One search for `source` on `context` under `budget`: the production
@@ -130,6 +137,20 @@ fn churn_step(scratch: &mut [u32], i: usize) {
     scratch[i % CHURN_WIDTH] = i as u32;
 }
 
+/// Rates of the 1-stage divider chain in the path-depth cases.
+const CHAIN_RATES: [u32; 2] = [2_000, 8_000];
+
+/// Node cap of the over-degree stress case.
+const OVER_DEGREE_NODES: usize = 20_000;
+
+/// The linked system of a FlowC `source`.
+fn linked_system(source: &str) -> qss_flowc::LinkedSystem {
+    qss::Pipeline::from_source(source)
+        .and_then(|pipeline| pipeline.link())
+        .expect("benchmark source links")
+        .system
+}
+
 fn main() {
     let (warmup, samples) = if std::env::var_os("QSS_BENCH_FAST").is_some() {
         (1, 5)
@@ -137,18 +158,17 @@ fn main() {
         (3, 25)
     };
     let mut cases: Vec<CaseResult> = Vec::new();
-    let mut push_case = |name: String, mut f: Box<dyn FnMut()>, mut reference: Box<dyn FnMut()>| {
-        let (best_ms, median_ms) = best_and_median_ms(warmup, samples, &mut f);
-        let (reference_best_ms, reference_median_ms) =
-            best_and_median_ms(warmup, samples, &mut reference);
-        cases.push(CaseResult {
-            name,
-            best_ms,
-            median_ms,
-            reference_best_ms,
-            reference_median_ms,
-        });
-    };
+    let mut push_case =
+        |name: String, mut f: Box<dyn FnMut()>, reference: Option<Box<dyn FnMut()>>| {
+            let (best_ms, median_ms) = best_and_median_ms(warmup, samples, &mut f);
+            let reference = reference.map(|mut r| best_and_median_ms(warmup, samples, &mut r));
+            cases.push(CaseResult {
+                name,
+                best_ms,
+                median_ms,
+                reference,
+            });
+        };
 
     for k in [4u32, 8, 12] {
         let (net, source) = divider_net(k);
@@ -166,9 +186,9 @@ fn main() {
                     &SearchBudget::unlimited(),
                 ));
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(reference::find_schedule(&rnet, source, &roptions).unwrap());
-            }),
+            })),
         );
     }
 
@@ -192,9 +212,71 @@ fn main() {
                     &SearchBudget::unlimited(),
                 ));
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(reference::find_schedule(&rnet, source, &roptions).unwrap());
+            })),
+        );
+    }
+
+    // Path depth: the 1-stage divider chain at two rates. Its schedule is
+    // one cycle `2 × rate + 1` nodes deep, so if a node's cost grew with
+    // the path, the per-node time would grow between the two cases.
+    let mut chain_nodes = Vec::new();
+    for rate in CHAIN_RATES {
+        let system = linked_system(&divider_chain_source(1, rate));
+        let source = system.uncontrollable_sources()[0];
+        let net = system.net;
+        let context = SearchContext::new(&net);
+        let options = ScheduleOptions::default();
+        let nodes =
+            search(&context, &net, source, &options, &SearchBudget::unlimited()).num_nodes();
+        chain_nodes.push(nodes);
+        // No reference column: the oracle re-walks the path at every
+        // node, about 13 s per search at rate 8 000.
+        push_case(
+            format!("schedule_search/divider_chain_depth/{rate}"),
+            Box::new(move || {
+                black_box(search(
+                    &context,
+                    &net,
+                    source,
+                    &options,
+                    &SearchBudget::unlimited(),
+                ));
             }),
+            None,
+        );
+    }
+
+    {
+        // The irrelevance scan's stress case: with the heuristics off the
+        // search fires `go` early and keeps the over-degree chain's first
+        // channel above its degree along deep paths, so the prune check
+        // scans the path at most nodes. The node cap ends the search. No
+        // reference column: the oracle takes about 6 s per search here.
+        let system = linked_system(&over_degree_chain_source(500));
+        let source = system.uncontrollable_sources()[0];
+        let net = system.net;
+        let context = SearchContext::new(&net);
+        let options = ScheduleOptions {
+            max_nodes: OVER_DEGREE_NODES,
+            ..ScheduleOptions::default().without_heuristics()
+        };
+        push_case(
+            format!("schedule_search/over_degree_no_heuristics/{OVER_DEGREE_NODES}"),
+            Box::new(move || {
+                let mut profile = SearchProfile::default();
+                let budget = SearchBudget::unlimited();
+                black_box(context.find_schedule_profiled(
+                    &net,
+                    source,
+                    &options,
+                    &budget,
+                    &mut profile,
+                ))
+                .expect_err("the node cap ends the search");
+            }),
+            None,
         );
     }
 
@@ -218,9 +300,9 @@ fn main() {
                     &SearchBudget::unlimited(),
                 ));
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(reference::find_schedule(&rsystem.net, source, &roptions).unwrap());
-            }),
+            })),
         );
 
         // The cold-start analysis cost: the sparse-row Farkas elimination
@@ -233,9 +315,9 @@ fn main() {
             Box::new(move || {
                 black_box(t_invariant_basis(&bsystem.net, 50_000));
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(t_invariant_basis_dense(&csystem.net, 50_000));
-            }),
+            })),
         );
 
         // The Farkas dual: the P-invariant basis over the same net with
@@ -246,9 +328,9 @@ fn main() {
             Box::new(move || {
                 black_box(p_invariant_basis(&dsystem.net, 50_000));
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(p_invariant_basis_dense(&esystem.net, 50_000));
-            }),
+            })),
         );
 
         // The full structural pre-pass `qssc analyze` and the `analyze`
@@ -262,9 +344,9 @@ fn main() {
             Box::new(move || {
                 black_box(structural_report(&fsystem.net, &limits));
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(structural_report_dense(&gsystem.net, &rlimits));
-            }),
+            })),
         );
     }
 
@@ -287,9 +369,9 @@ fn main() {
             Box::new(move || {
                 black_box(SearchContext::new(&net));
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(t_invariant_basis_dense(&cnet, 50_000));
-            }),
+            })),
         );
         let limits = StructuralLimits::default();
         let rlimits = limits.clone();
@@ -298,9 +380,9 @@ fn main() {
             Box::new(move || {
                 black_box(structural_report(&dnet, &limits));
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(structural_report_dense(&snet, &rlimits));
-            }),
+            })),
         );
     }
 
@@ -327,7 +409,7 @@ fn main() {
             Box::new(move || {
                 black_box(search(&context, &net, source, &options, &budget));
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(search(
                     &pcontext,
                     &pnet,
@@ -335,7 +417,7 @@ fn main() {
                     &poptions,
                     &SearchBudget::unlimited(),
                 ));
-            }),
+            })),
         );
 
         let system = pfc_system(&PfcParams::tiny()).expect("PFC links");
@@ -349,7 +431,7 @@ fn main() {
             Box::new(move || {
                 black_box(search(&context, &system.net, source, &options, &armed));
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(search(
                     &pcontext,
                     &psystem.net,
@@ -357,7 +439,7 @@ fn main() {
                     &poptions,
                     &SearchBudget::unlimited(),
                 ));
-            }),
+            })),
         );
     }
 
@@ -399,13 +481,13 @@ fn main() {
                         .expect("warm schedule"),
                 );
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 black_box(
                     cold_client
                         .schedule(&cold_source, None)
                         .expect("cold schedule"),
                 );
-            }),
+            })),
         );
         warm.shutdown_and_join().expect("warm server drains");
         cold.shutdown_and_join().expect("cold server drains");
@@ -430,7 +512,7 @@ fn main() {
                 }
                 black_box(store.len());
             }),
-            Box::new(move || {
+            Some(Box::new(move || {
                 let mut store = VecOfMarkingsInterner::default();
                 let mut scratch = Marking::from_counts(vec![0u32; CHURN_WIDTH]);
                 for i in 0..CHURN_INTERNS {
@@ -441,7 +523,7 @@ fn main() {
                     }
                 }
                 black_box(store.markings.len());
-            }),
+            })),
         );
     }
 
@@ -529,7 +611,7 @@ fn main() {
                 push_case(
                     format!("obs/overhead_{mode}/{workload}"),
                     instrument(observer, factory()),
-                    factory(),
+                    Some(factory()),
                 );
             }
         }
@@ -543,20 +625,52 @@ fn main() {
     json.push_str("  \"command\": \"cargo run -p qss_bench --release --bin bench_json\",\n");
     json.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
-        let speedup = case.reference_best_ms / case.best_ms;
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", \"best_ms\": {:.4}, \"median_ms\": {:.4}, \"reference_best_ms\": {:.4}, \"reference_median_ms\": {:.4}, \"speedup_vs_reference\": {:.2}}}",
-            case.name,
-            case.best_ms,
-            case.median_ms,
-            case.reference_best_ms,
-            case.reference_median_ms,
-            speedup
+            "    {{\"name\": \"{}\", \"best_ms\": {:.4}, \"median_ms\": {:.4}, ",
+            case.name, case.best_ms, case.median_ms
         );
+        let _ = match case.reference {
+            Some((best, median)) => write!(
+                json,
+                "\"reference_best_ms\": {best:.4}, \"reference_median_ms\": {median:.4}, \"speedup_vs_reference\": {:.2}}}",
+                best / case.best_ms
+            ),
+            None => write!(
+                json,
+                "\"reference_best_ms\": null, \"reference_median_ms\": null, \"speedup_vs_reference\": null}}"
+            ),
+        };
         json.push_str(if i + 1 < cases.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+    // Per-node time of the deep-chain cases, and its growth from the
+    // shallow to the deep one (flat when a node's cost is independent of
+    // the path depth).
+    let per_node_us: Vec<f64> = CHAIN_RATES
+        .iter()
+        .zip(&chain_nodes)
+        .map(|(rate, &nodes)| {
+            let name = format!("schedule_search/divider_chain_depth/{rate}");
+            let case = cases
+                .iter()
+                .find(|case| case.name == name)
+                .expect("chain case");
+            case.best_ms * 1e3 / nodes as f64
+        })
+        .collect();
+    let _ = writeln!(
+        json,
+        "  \"divider_chain_depth\": {{\"rates\": [{}, {}], \"schedule_nodes\": [{}, {}], \"best_us_per_node\": [{:.4}, {:.4}], \"per_node_growth\": {:.2}}}",
+        CHAIN_RATES[0],
+        CHAIN_RATES[1],
+        chain_nodes[0],
+        chain_nodes[1],
+        per_node_us[0],
+        per_node_us[1],
+        per_node_us[1] / per_node_us[0]
+    );
+    json.push_str("}\n");
 
     let path = std::env::args()
         .nth(1)

@@ -293,6 +293,35 @@ pub fn divider_chain_source(depth: usize, k: u32) -> String {
     out
 }
 
+/// FlowC source of a three-stage chain whose first channel can be lifted
+/// past its degree: `s0` writes 3 items per input `go`, `s1` reads 2 and
+/// writes 1, and `s2` reads `k` at a time. The first channel has degree
+/// `3 + 2 − 1 = 4`, and firing `go` while it holds 2 or more lifts it
+/// above that, so a search that does not fire the source last spends long
+/// stretches with a place above its degree while the program-counter
+/// places toggle. The schedule's cycle is `k` or `3k` firings of `s1`
+/// long (`k` when 3 divides it), so `k` sets the path depth.
+pub fn over_degree_chain_source(k: u32) -> String {
+    format!(
+        "SYSTEM over_degree {{\n\
+         \x20   CHANNEL s0.out -> s1.inp;\n\
+         \x20   CHANNEL s1.out -> s2.inp;\n\
+         }}\n\
+         PROCESS s0 (In DPORT go, Out DPORT out) {{\n\
+         \x20   int x;\n\
+         \x20   while (1) {{ READ_DATA(go, x, 1); WRITE_DATA(out, x, 3); }}\n\
+         }}\n\
+         PROCESS s1 (In DPORT inp, Out DPORT out) {{\n\
+         \x20   int x;\n\
+         \x20   while (1) {{ READ_DATA(inp, x, 2); WRITE_DATA(out, x, 1); }}\n\
+         }}\n\
+         PROCESS s2 (In DPORT inp, Out DPORT out) {{\n\
+         \x20   int x;\n\
+         \x20   while (1) {{ READ_DATA(inp, x, {k}); WRITE_DATA(out, x, 1); }}\n\
+         }}\n"
+    )
+}
+
 /// FlowC source of one process that reads the environment input `go`
 /// once and then writes it to the output `o` `writes` times in a row.
 /// Every write ends a code fragment, so one code segment of the task is a

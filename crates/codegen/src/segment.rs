@@ -29,13 +29,13 @@
 //! [`Marking`] is resolved only when it enters the output. Roots, segment
 //! nodes and threads index dense vectors by key or node id. The cost is
 //! linear in the schedule's edges plus the threads' traversals, instead
-//! of keys × nodes × distinct outcomes.
+//! of keys × nodes × distinct outcomes. State places and the ambiguity
+//! check take one pass per switch arm and place, not one per pair of arms.
 
 use crate::error::{CodegenError, Result};
 use qss_core::Schedule;
 use qss_petri::{FxHashMap, FxHashSet, Marking, MarkingId, PetriNet, PlaceId, TransitionId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// The set of transitions labelling the outgoing edges of a schedule node,
 /// sorted to act as a canonical key.
@@ -354,8 +354,7 @@ impl<'a> GraphBuilder<'a> {
                 nodes: self.build_segment(root, &segment_of_key, &mut on_path),
             })
             .collect();
-        let state_places = self.state_places(&segments);
-        self.check_resolvable(&segments, &state_places)?;
+        let state_places = self.state_places(&segments)?;
         let threads = self.threads(&segment_of_key, segments.len());
         Ok(SegmentGraph {
             segments,
@@ -455,58 +454,53 @@ impl<'a> GraphBuilder<'a> {
     /// State places: every place whose value differs between two switch
     /// arms with different targets. Such places are necessarily updated by
     /// the involved transitions, so this matches the paper's intersection
-    /// of "updated" and "needed for conditions".
-    fn state_places(&self, segments: &[CodeSegment]) -> Vec<PlaceId> {
-        let mut needed: BTreeSet<PlaceId> = BTreeSet::new();
+    /// of "updated" and "needed for conditions". A place qualifies exactly
+    /// when its switch has two distinct targets and the place takes two
+    /// distinct values among the arms (if two arms with different values
+    /// share a target, a third arm with another target differs from one of
+    /// them). Then every switch is checked: arms grouped by their
+    /// state-place projection must share the target of the group's first
+    /// arm, else the lexicographically first ambiguous pair is reported.
+    fn state_places(&self, segments: &[CodeSegment]) -> Result<Vec<PlaceId>> {
+        let mut switches = Vec::new();
         for segment in segments {
-            for node in &segment.nodes {
-                for (_, branch) in &node.branches {
-                    if let Branch::Terminal(Continuation::Switch(arms)) = branch {
-                        for (i, (m1, t1)) in arms.iter().enumerate() {
-                            for (m2, t2) in arms.iter().skip(i + 1) {
-                                if t1 == t2 {
-                                    continue;
-                                }
-                                for p in self.net.place_ids() {
-                                    if m1.tokens(p) != m2.tokens(p) {
-                                        needed.insert(p);
-                                    }
-                                }
-                            }
-                        }
-                    }
+            for (_, branch) in segment.nodes.iter().flat_map(|n| &n.branches) {
+                if let Branch::Terminal(Continuation::Switch(arms)) = branch {
+                    switches.push((segment.label.as_str(), arms.as_slice()));
                 }
             }
         }
-        needed.into_iter().collect()
-    }
-
-    /// Verifies that the state places distinguish every pair of switch arms
-    /// with different targets.
-    fn check_resolvable(&self, segments: &[CodeSegment], state: &[PlaceId]) -> Result<()> {
-        for segment in segments {
-            for node in &segment.nodes {
-                for (_, branch) in &node.branches {
-                    if let Branch::Terminal(Continuation::Switch(arms)) = branch {
-                        for (i, (m1, t1)) in arms.iter().enumerate() {
-                            for (m2, t2) in arms.iter().skip(i + 1) {
-                                if t1 == t2 {
-                                    continue;
-                                }
-                                let same = state.iter().all(|p| m1.tokens(*p) == m2.tokens(*p));
-                                if same {
-                                    return Err(CodegenError::AmbiguousState(format!(
-                                        "segment `{}` cannot distinguish markings {m1} and {m2}",
-                                        segment.label
-                                    )));
-                                }
-                            }
-                        }
-                    }
+        let mut needed = vec![false; self.net.num_places()];
+        for (_, arms) in &switches {
+            let Some(((first, target), _)) = arms.split_first() else {
+                continue;
+            };
+            if arms.iter().any(|(_, t)| t != target) {
+                for p in self.net.place_ids() {
+                    needed[p.index()] |= arms.iter().any(|(m, _)| m.tokens(p) != first.tokens(p));
                 }
             }
         }
-        Ok(())
+        let state: Vec<PlaceId> = self.net.place_ids().filter(|p| needed[p.index()]).collect();
+        for (label, arms) in &switches {
+            let mut first_of: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
+            let mut ambiguous: Option<(usize, usize)> = None;
+            for (j, (m, target)) in arms.iter().enumerate() {
+                let i = *first_of
+                    .entry(state.iter().map(|p| m.tokens(*p)).collect())
+                    .or_insert(j);
+                if arms[i].1 != *target && ambiguous.is_none_or(|best| (i, j) < best) {
+                    ambiguous = Some((i, j));
+                }
+            }
+            if let Some((i, j)) = ambiguous {
+                return Err(CodegenError::AmbiguousState(format!(
+                    "segment `{label}` cannot distinguish markings {} and {}",
+                    arms[i].0, arms[j].0
+                )));
+            }
+        }
+        Ok(state)
     }
 
     /// Threads: for each await node, the segments used until the reaction
@@ -570,6 +564,7 @@ mod tests {
     use super::*;
     use qss_core::{ScheduleOptions, SearchBudget, SearchContext, SearchProfile};
     use qss_petri::{NetBuilder, TransitionKind};
+    use std::collections::BTreeSet;
 
     /// The schedule of `source` under the default options.
     fn find_default(net: &PetriNet, source: TransitionId) -> Schedule {

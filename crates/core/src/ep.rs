@@ -18,8 +18,7 @@
 //! at a time. Instead of re-deriving that context by walking the parent
 //! chain at every node (`O(depth × places)` per node, superlinear in tree
 //! depth overall), the engine maintains a [`PathTracker`] that is updated
-//! in `O(changed places)` on a typical descent and backtrack (see the
-//! [`PathTracker`] docs for the worst case):
+//! in `O(changed places)` on every descent and backtrack:
 //!
 //! * one scratch [`Marking`](qss_petri::Marking) mutated in place via
 //!   [`PetriNet::fire_into`]/[`PetriNet::unfire_into`] — the search never
@@ -27,12 +26,15 @@
 //!   replaying the retained tree at the end),
 //! * cumulative per-transition firing counts (a slice read instead of an
 //!   `O(depth + |T|)` chain walk per heuristic evaluation),
-//! * an incrementally-maintained marking hash plus hash index over on-path
-//!   ancestors, making the equal-marking-ancestor query a probe plus exact
-//!   verification instead of a full chain scan,
-//! * per-place token-count histories with box-violation counters that
-//!   evaluate Definition 4.5 ("some ancestor is covered and was saturated
-//!   everywhere it grew") by bookkeeping only the places a firing touched.
+//! * an incrementally-maintained marking hash plus an interned index over
+//!   on-path ancestors, making the equal-marking-ancestor query one store
+//!   probe instead of a full chain scan,
+//! * a count of the places above their degree. Definition 4.5 ("some
+//!   ancestor is covered and was saturated everywhere it grew") can only
+//!   hold while that count is non-zero, so most nodes answer the
+//!   irrelevance question from the counter alone; the others scan the
+//!   on-path entries, prefiltered on the over-degree places and the
+//!   marking hash (see the [`PathTracker`] docs).
 //!
 //! Ancestor tests (`is_ancestor`) degenerate to depth comparisons because
 //! every candidate entering point is on the current path. The original
@@ -750,14 +752,9 @@ impl<'a> Search<'a> {
         loop {
             step = match step {
                 Step::Enter(v, target) => {
-                    // Termination conditions and the equal-marking-ancestor
-                    // query share one hash probe. The prune check needs the
-                    // count of equal ancestors because equal markings sit
-                    // inside their own irrelevance box but are not
-                    // irrelevance witnesses.
-                    let (num_equal, first_equal) = self.tracker.equal_ancestors();
+                    let first_equal = self.tracker.first_equal_ancestor();
                     self.profile.equal_ancestor_probes += 1;
-                    if self.tracker.should_prune(num_equal) {
+                    if self.tracker.should_prune() {
                         self.profile.irrelevance_cuts += 1;
                         Step::Return(None)
                     } else if let Some(depth) = first_equal {
@@ -769,10 +766,7 @@ impl<'a> Search<'a> {
                         self.nodes[v].merge_with = Some(u);
                         Step::Return(Some(u))
                     } else {
-                        let t_in = self.nodes[v]
-                            .in_transition
-                            .expect("the root is never entered");
-                        self.tracker.push_entry(net, t_in, v);
+                        self.tracker.push_entry(v);
                         if live == frames.len() {
                             frames.push(Frame::default());
                         }
@@ -888,10 +882,7 @@ impl<'a> Search<'a> {
                         Step::NextMember
                     } else {
                         live -= 1;
-                        let t_in = self.nodes[frame.v]
-                            .in_transition
-                            .expect("the root is never entered");
-                        self.tracker.pop_entry(net, t_in);
+                        self.tracker.pop_entry();
                         Step::Return(frame.best)
                     }
                 }

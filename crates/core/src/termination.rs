@@ -123,31 +123,16 @@ impl Termination {
     }
 }
 
-/// One count-change segment of a place's on-path history: the place held
-/// `count` tokens from path entry `start` until the next segment's start
-/// (or the top of the path for the last segment).
-#[derive(Debug, Clone, Copy)]
-struct Seg {
-    count: u32,
-    start: u32,
-}
-
 /// Incremental per-path search state: the scratch marking, cumulative
-/// transition firing counts, a marking-hash index over on-path ancestors,
-/// and the incremental irrelevance/bound trackers. The EP search drives it
-/// with strictly LIFO `fire`/`push_entry` … `pop_entry`/`unfire` calls, so
-/// every per-node question the search asks — "should this marking be
-/// pruned?", "which ancestor carries an equal marking?", "how often has
-/// each transition fired on this path?" — is answered in `O(changed
-/// places)` in the typical case instead of `O(depth × places)` always.
-/// The worst case is weaker: a box-boundary move must flip every path
-/// entry holding an affected count (see [`PathTracker::fire`]), so a
-/// place oscillating between two counts along a deep path degrades a
-/// single fire back towards `O(depth)` — still never worse than the
-/// recompute-from-scratch engine, which pays `O(depth × places)` on
-/// every node unconditionally.
+/// transition firing counts, an interned index over on-path ancestors,
+/// and two over-limit counters. The EP search drives it with strictly
+/// LIFO `fire`/`push_entry` … `pop_entry`/`unfire` calls. A firing costs
+/// `O(changed places)`, and so do the per-node questions "which ancestor
+/// carries an equal marking?" and "how often has each transition fired
+/// on this path?". "Should this marking be pruned?" costs `O(1)` too,
+/// except while some place is above its degree (see below).
 ///
-/// # How the irrelevance check becomes incremental
+/// # The over-degree gate
 ///
 /// Definition 4.5 prunes a marking `C` iff some proper on-path ancestor
 /// `M ≠ C` satisfies: `C` covers `M` and every place where `C` strictly
@@ -158,27 +143,33 @@ struct Seg {
 /// M(p) ∈ [min(C(p), degree(p)), C(p)]
 /// ```
 ///
-/// so `C` is irrelevant iff some ancestor lies in the box on **every**
-/// place and differs from `C` somewhere. The tracker maintains, for every
-/// path entry, the number of places whose box condition it violates
-/// (`viol`), and the count of entries with zero violations (`num_valid`).
-/// When a transition fires, only the boxes of its changed places move,
-/// and each box boundary moves by at most the arc weight — the entries
-/// whose validity flips are found through a per-place `count → segments`
-/// index of the path history. Ancestors *equal* to `C` are excluded by
-/// subtracting the bucket length of `C`'s [`MarkingId`] in the interned
-/// ancestor index.
+/// On a place with `C(p) ≤ degree(p)` the box is the single point
+/// `C(p)`. So while no place of `C` is above its degree, only ancestors
+/// equal to `C` lie in every box, and those are excluded: `C` is not
+/// irrelevant. The tracker counts the places above their degree
+/// (`over_deg`) as it counts the places above their bound (`bound_over`),
+/// in `O(1)` per changed place, and answers from that counter alone while
+/// it is zero. FlowC systems searched with the default heuristics almost
+/// never leave that state. When it is not zero,
+/// [`PathTracker::should_prune`] scans the path entries, newest first. An
+/// entry must lie in the box on every over-degree place and equal `C` on
+/// every other place before the full box test runs on its marking row.
+/// The first test reads a per-entry column of each over-degree place; the
+/// second compares the entry's additive marking hash minus those places'
+/// terms with `C`'s. That costs `O(depth × over-degree places)` per query
+/// plus `O(places)` per query and per candidate, and a column is built
+/// in `O(depth)` the first time its place is over its degree.
 ///
 /// # Interned ancestors
 ///
 /// Every pushed path entry's marking is hash-consed into a
 /// [`MarkingStore`] (typically the per-net store cached by the search
 /// context, so the initial marking is shared). The equal-ancestor index
-/// maps a `MarkingId` — not a raw hash — to the ascending path entries
-/// carrying that marking, which makes the equal-marking-ancestor query a
-/// store probe plus one integer-keyed map lookup: interning has already
-/// established exact equality, so no per-place verification remains and
-/// hash collisions cannot surface here.
+/// maps a `MarkingId` — not a raw hash — to the number of path entries
+/// carrying that marking and the first of them, which makes the
+/// equal-marking-ancestor query a store probe plus one array index:
+/// interning has already established exact equality, so no per-place
+/// verification remains and hash collisions cannot surface here.
 #[derive(Debug, Clone)]
 pub struct PathTracker {
     kind: TerminationKind,
@@ -192,20 +183,19 @@ pub struct PathTracker {
     hash: u64,
     /// Cumulative firing count per transition along the current path.
     fired: Vec<u64>,
-    /// Per path entry: number of places violating the box condition.
-    viol: Vec<u32>,
     /// Per path entry: the search-tree node it corresponds to.
     node_at: Vec<usize>,
-    /// Number of path entries with `viol == 0`.
-    num_valid: usize,
     /// Number of places with `C(p) > eff_bounds[p]`.
     bound_over: usize,
-    /// Per place: stack of count-change segments along the path.
-    segs: Vec<Vec<Seg>>,
-    /// Per place: count value → indices into `segs[p]` holding that count
-    /// (a vector indexed by count; on-path counts stay small because both
-    /// pruning criteria cut off unbounded growth).
-    occ: Vec<Vec<Vec<u32>>>,
+    /// Number of places with `C(p) > degrees[p]`.
+    over_deg: usize,
+    /// Per place that has been above its degree at a prune query: its
+    /// count and [`place_count_hash`] at every path entry, kept in step
+    /// with the path from then on. The scan reads these columns instead of
+    /// one marking row per entry.
+    columns: Vec<(PlaceId, Vec<(u32, u64)>)>,
+    /// Per place: the index of its column, if it has one.
+    column_of: Vec<Option<usize>>,
     /// Hash-consed markings of every path entry ever pushed.
     store: MarkingStore,
     /// Per path entry: the interned id of its marking.
@@ -219,7 +209,7 @@ pub struct PathTracker {
     /// when the count left zero stays correct until it returns to zero.
     first_entry_by_id: Vec<u32>,
     /// Memoized store lookup of the current marking (guarded by its
-    /// hash): [`PathTracker::equal_ancestors`] resolves the id,
+    /// hash): [`PathTracker::first_equal_ancestor`] resolves the id,
     /// [`PathTracker::push_entry`] reuses it, any marking change clears
     /// it.
     cached_lookup: Option<(u64, Option<MarkingId>)>,
@@ -237,7 +227,6 @@ impl PathTracker {
     /// per-net store cloned from a search context, which already holds the
     /// initial marking).
     pub fn with_store(net: &PetriNet, kind: TerminationKind, store: MarkingStore) -> Self {
-        let num_places = net.num_places();
         let degrees: Vec<u32> = net.place_ids().map(|p| place_degree(net, p)).collect();
         let eff_bounds: Vec<u32> = net
             .place_ids()
@@ -249,31 +238,22 @@ impl PathTracker {
             .collect();
         let marking = net.initial_marking();
         let hash = marking.path_hash();
-        let bound_over = (0..num_places)
-            .filter(|&i| marking.tokens(PlaceId::new(i)) > eff_bounds[i])
-            .count();
-        let segs: Vec<Vec<Seg>> = (0..num_places)
-            .map(|i| {
-                vec![Seg {
-                    count: marking.tokens(PlaceId::new(i)),
-                    start: 0,
-                }]
-            })
-            .collect();
-        let occ: Vec<Vec<Vec<u32>>> = (0..num_places)
-            .map(|i| {
-                let count = marking.tokens(PlaceId::new(i)) as usize;
-                let mut by_count = vec![Vec::new(); count + 1];
-                by_count[count].push(0u32);
-                by_count
-            })
-            .collect();
+        let count_over = |limits: &[u32]| {
+            marking
+                .as_slice()
+                .iter()
+                .zip(limits)
+                .filter(|(count, limit)| count > limit)
+                .count()
+        };
+        let bound_over = count_over(&eff_bounds);
+        let over_deg = count_over(&degrees);
+        let degrees_len = degrees.len();
         let mut store = store;
         let root_id = store.intern_hashed(hash, marking.as_slice());
         let mut entry_count_by_id = vec![0u32; store.len()];
-        let mut first_entry_by_id = vec![0u32; store.len()];
+        let first_entry_by_id = vec![0u32; store.len()];
         entry_count_by_id[root_id.index()] = 1;
-        first_entry_by_id[root_id.index()] = 0;
         PathTracker {
             kind,
             degrees,
@@ -281,12 +261,11 @@ impl PathTracker {
             marking,
             hash,
             fired: vec![0; net.num_transitions()],
-            viol: vec![0],
             node_at: vec![0],
-            num_valid: 1,
             bound_over,
-            segs,
-            occ,
+            over_deg,
+            columns: Vec::new(),
+            column_of: vec![None; degrees_len],
             store,
             entry_ids: vec![root_id],
             entry_count_by_id,
@@ -314,12 +293,12 @@ impl PathTracker {
     /// Number of entries on the path (= proper ancestors of the node
     /// whose marking is currently in the tracker, before `push_entry`).
     pub fn len(&self) -> usize {
-        self.viol.len()
+        self.node_at.len()
     }
 
     /// `true` if the path holds no entries (never the case after `new`).
     pub fn is_empty(&self) -> bool {
-        self.viol.is_empty()
+        self.node_at.is_empty()
     }
 
     /// Applies `t` to the scratch marking and updates every incremental
@@ -349,104 +328,27 @@ impl PathTracker {
             .hash
             .wrapping_sub(place_count_hash(p, old))
             .wrapping_add(place_count_hash(p, new));
-        let bound = self.eff_bounds[p.index()];
-        match (old > bound, new > bound) {
-            (false, true) => self.bound_over += 1,
-            (true, false) => self.bound_over -= 1,
-            _ => {}
-        }
-        self.shift_box(p, old, new);
-    }
-
-    /// Moves place `p`'s box from `[min(old, deg), old]` to
-    /// `[min(new, deg), new]`, flipping the violation state of every path
-    /// entry whose count for `p` enters or leaves the box. Both boundary
-    /// moves span at most `|old − new|` count values, and only count
-    /// values actually occurring on the path cost anything.
-    fn shift_box(&mut self, p: PlaceId, old: u32, new: u32) {
-        let deg = self.degrees[p.index()];
-        let old_box = (old.min(deg), old);
-        let new_box = (new.min(deg), new);
-        if old_box == new_box {
-            return;
-        }
-        // Counts in old_box but not new_box become violations (+1);
-        // counts in new_box but not old_box stop violating (−1).
-        for (lo, hi) in interval_difference(old_box, new_box) {
-            for count in lo..=hi {
-                self.flip(p, count, 1);
-            }
-        }
-        for (lo, hi) in interval_difference(new_box, old_box) {
-            for count in lo..=hi {
-                self.flip(p, count, -1);
-            }
-        }
-    }
-
-    /// Adjusts the violation counter of every path entry where `p` holds
-    /// exactly `count` tokens.
-    fn flip(&mut self, p: PlaceId, count: u32, sign: i32) {
-        let Some(seg_ids) = self.occ[p.index()].get(count as usize) else {
-            return;
-        };
-        if seg_ids.is_empty() {
-            return;
-        }
-        let segs = &self.segs[p.index()];
-        let top = self.viol.len();
-        for &si in seg_ids {
-            let start = segs[si as usize].start as usize;
-            let end = segs
-                .get(si as usize + 1)
-                .map(|s| s.start as usize)
-                .unwrap_or(top);
-            for entry in start..end {
-                if sign > 0 {
-                    if self.viol[entry] == 0 {
-                        self.num_valid -= 1;
-                    }
-                    self.viol[entry] += 1;
-                } else {
-                    self.viol[entry] -= 1;
-                    if self.viol[entry] == 0 {
-                        self.num_valid += 1;
-                    }
-                }
-            }
-        }
+        update_over(&mut self.bound_over, self.eff_bounds[p.index()], old, new);
+        update_over(&mut self.over_deg, self.degrees[p.index()], old, new);
     }
 
     /// Pushes the node whose marking is currently in the tracker as a new
-    /// path entry. `t` is the transition that entered it (the same one
-    /// passed to the preceding [`PathTracker::fire`]).
-    pub fn push_entry(&mut self, net: &PetriNet, t: TransitionId, node: usize) {
-        let depth = self.viol.len() as u32;
-        for &(p, _) in net.changed_places(t) {
-            let count = self.marking.tokens(p);
-            let si = self.segs[p.index()].len() as u32;
-            let by_count = &mut self.occ[p.index()];
-            if by_count.len() <= count as usize {
-                by_count.resize(count as usize + 1, Vec::new());
-            }
-            by_count[count as usize].push(si);
-            self.segs[p.index()].push(Seg {
-                count,
-                start: depth,
-            });
-        }
-        // The new entry's marking equals the current marking, which lies
-        // in its own box on every place: zero violations by construction.
-        self.viol.push(0);
-        self.num_valid += 1;
+    /// path entry for tree node `node`.
+    pub fn push_entry(&mut self, node: usize) {
+        let depth = self.node_at.len() as u32;
         self.node_at.push(node);
-        // Reuse the id `equal_ancestors` just resolved for this marking
-        // (the search always queries before pushing); intern otherwise.
+        // Reuse the id `first_equal_ancestor` just resolved for this
+        // marking (the search always queries before pushing); intern
+        // otherwise.
         let id = match self.cached_lookup.take() {
             Some((hash, Some(id))) if hash == self.hash => id,
             _ => self.store.intern_hashed(self.hash, self.marking.as_slice()),
         };
         self.entry_ids.push(id);
+        for (p, column) in &mut self.columns {
+            let count = self.marking.tokens(*p);
+            column.push((count, place_count_hash(*p, count)));
+        }
         if self.entry_count_by_id.len() < self.store.len() {
             self.entry_count_by_id.resize(self.store.len(), 0);
             self.first_entry_by_id.resize(self.store.len(), 0);
@@ -462,27 +364,22 @@ impl PathTracker {
     /// to [`PathTracker::push_entry`]. The entry's marking stays interned
     /// in the store (interning is append-only); only the on-path ancestor
     /// index forgets it.
-    pub fn pop_entry(&mut self, net: &PetriNet, t: TransitionId) {
-        let viol = self.viol.pop().expect("pop_entry on an empty path");
-        debug_assert_eq!(viol, 0, "a path entry must leave as it arrived");
-        self.num_valid -= 1;
-        self.node_at.pop();
-        for &(p, _) in net.changed_places(t) {
-            let seg = self.segs[p.index()].pop().expect("segment stack underflow");
-            self.occ[p.index()][seg.count as usize].pop();
-        }
+    pub fn pop_entry(&mut self) {
+        self.node_at.pop().expect("pop_entry on an empty path");
         let id = self.entry_ids.pop().expect("entry id stack underflow");
         self.entry_count_by_id[id.index()] -= 1;
+        for (_, column) in &mut self.columns {
+            column.pop();
+        }
     }
 
-    /// Proper on-path ancestors whose marking equals the current marking:
-    /// how many there are, and the minimal (closest to the root) one.
-    /// One store probe (reusing the incrementally maintained hash) plus
-    /// an array index: interning already established exact equality, so
-    /// the bucket needs no per-entry verification. The resolved id is
-    /// memoized for the [`PathTracker::push_entry`] that typically
-    /// follows.
-    pub fn equal_ancestors(&mut self) -> (usize, Option<usize>) {
+    /// The minimal (closest to the root) proper on-path ancestor whose
+    /// marking equals the current marking, if any. One store probe
+    /// (reusing the incrementally maintained hash) plus an array index:
+    /// interning already established exact equality, so no per-entry
+    /// verification remains. The resolved id is memoized for the
+    /// [`PathTracker::push_entry`] that typically follows.
+    pub fn first_equal_ancestor(&mut self) -> Option<usize> {
         let id = match self.cached_lookup {
             Some((hash, id)) if hash == self.hash => id,
             _ => {
@@ -490,52 +387,102 @@ impl PathTracker {
                 self.cached_lookup = Some((self.hash, id));
                 id
             }
-        };
-        let Some(id) = id else {
-            return (0, None);
-        };
-        match self.entry_count_by_id.get(id.index()).copied() {
-            Some(count) if count > 0 => (
-                count as usize,
-                Some(self.first_entry_by_id[id.index()] as usize),
-            ),
-            _ => (0, None),
-        }
+        }?;
+        let on_path = self
+            .entry_count_by_id
+            .get(id.index())
+            .is_some_and(|&n| n > 0);
+        on_path.then(|| self.first_entry_by_id[id.index()] as usize)
     }
 
     /// Whether the node whose marking is currently in the tracker should
-    /// be pruned, given the number of proper ancestors with an equal
-    /// marking (from [`PathTracker::equal_ancestors`]). Matches
-    /// [`Termination::should_prune`] over the same path exactly.
-    pub fn should_prune(&self, num_equal: usize) -> bool {
+    /// be pruned. Matches [`Termination::should_prune`] over the same path
+    /// exactly.
+    pub fn should_prune(&mut self) -> bool {
         if self.bound_over > 0 {
             return true;
         }
         match self.kind {
             // Every effective bound is already folded into `bound_over`.
             TerminationKind::PlaceBounds { .. } => false,
-            // Irrelevant iff some in-box ancestor is not an equal marking.
-            TerminationKind::Irrelevance => self.num_valid > num_equal,
+            // With no place above its degree every box is a single point,
+            // so only equal markings could qualify, and they are excluded.
+            TerminationKind::Irrelevance => self.over_deg > 0 && self.has_saturated_ancestor(),
         }
+    }
+
+    /// Whether some on-path entry `M ≠ C` lies in `C`'s box on every
+    /// place: the column and hash tests of the gate (see the type docs),
+    /// then the full box test on the marking row, which also rules out
+    /// hash collisions.
+    fn has_saturated_ancestor(&mut self) -> bool {
+        let over: Vec<PlaceId> = (0..self.degrees.len())
+            .map(PlaceId::new)
+            .filter(|&p| self.marking.tokens(p) > self.degrees[p.index()])
+            .collect();
+        let cols: Vec<usize> = over.iter().map(|&p| self.column(p)).collect();
+        let current = self.marking.as_slice();
+        let target = over.iter().fold(self.hash, |h, &p| {
+            h.wrapping_sub(place_count_hash(p, current[p.index()]))
+        });
+        // Per over-degree place: its column and its box `[degree, C(p)]`.
+        let boxes: Vec<_> = over
+            .iter()
+            .zip(cols)
+            .map(|(&p, col)| {
+                let column = self.columns[col].1.as_slice();
+                (column, self.degrees[p.index()], current[p.index()])
+            })
+            .collect();
+        // Newest first: when a witness exists it is usually a recent
+        // ancestor, and the scan stops there.
+        self.entry_ids.iter().enumerate().rev().any(|(entry, &id)| {
+            let mut hash = self.store.hash_of(id);
+            for &(column, lo, hi) in &boxes {
+                let (count, term) = column[entry];
+                if count < lo || count > hi {
+                    return false;
+                }
+                hash = hash.wrapping_sub(term);
+            }
+            let m = self.store.resolve(id);
+            hash == target
+                && m != current
+                && m.iter()
+                    .zip(current)
+                    .zip(&self.degrees)
+                    .all(|((&m, &c), &deg)| c.min(deg) <= m && m <= c)
+        })
+    }
+
+    /// The index of `p`'s column, filled from the path's marking rows the
+    /// first time `p` is asked for.
+    fn column(&mut self, p: PlaceId) -> usize {
+        if let Some(col) = self.column_of[p.index()] {
+            return col;
+        }
+        let counts = self
+            .entry_ids
+            .iter()
+            .map(|&id| {
+                let count = self.store.resolve(id)[p.index()];
+                (count, place_count_hash(p, count))
+            })
+            .collect();
+        self.columns.push((p, counts));
+        self.column_of[p.index()] = Some(self.columns.len() - 1);
+        self.columns.len() - 1
     }
 }
 
-/// The parts of the closed interval `a` not covered by the closed
-/// interval `b` (at most two closed intervals).
-fn interval_difference(a: (u32, u32), b: (u32, u32)) -> impl Iterator<Item = (u32, u32)> {
-    let (alo, ahi) = a;
-    let (blo, bhi) = b;
-    let left = if alo < blo {
-        Some((alo, ahi.min(blo - 1)))
-    } else {
-        None
-    };
-    let right = if ahi > bhi {
-        Some((alo.max(bhi + 1), ahi))
-    } else {
-        None
-    };
-    left.into_iter().chain(right)
+/// Keeps `count` (the number of places above their limit) up to date
+/// when one place with limit `limit` goes from `old` to `new` tokens.
+fn update_over(count: &mut usize, limit: u32, old: u32, new: u32) {
+    match (old > limit, new > limit) {
+        (false, true) => *count += 1,
+        (true, false) => *count -= 1,
+        _ => {}
+    }
 }
 
 #[cfg(test)]
@@ -605,43 +552,46 @@ mod tests {
     /// Drives a [`PathTracker`] and the recompute-from-scratch
     /// [`Termination`] down the same firing path, asserting that the
     /// incremental prune/equal answers match the oracle at every step.
+    /// Returns how many path positions were pruned.
     fn assert_tracker_matches_oracle(
         net: &PetriNet,
         kind: TerminationKind,
         path: &[qss_petri::TransitionId],
-    ) {
+    ) -> usize {
         let term = Termination::new(net, kind);
         let mut tracker = PathTracker::new(net, kind);
         let mut markings = vec![net.initial_marking()];
+        let mut pruned = 0;
         for &t in path {
             tracker.fire(net, t);
             let current = net.fire_unchecked(t, markings.last().unwrap());
             let ancestors: Vec<&Marking> = markings.iter().collect();
-            let (num_equal, first_equal) = tracker.equal_ancestors();
             let oracle_equal = markings.iter().position(|m| *m == current);
-            assert_eq!(first_equal, oracle_equal, "minimal equal ancestor");
             assert_eq!(
-                num_equal,
-                markings.iter().filter(|m| **m == current).count(),
-                "equal ancestor count"
+                tracker.first_equal_ancestor(),
+                oracle_equal,
+                "minimal equal ancestor"
             );
+            let prune = term.should_prune(&current, &ancestors);
             assert_eq!(
-                tracker.should_prune(num_equal),
-                term.should_prune(&current, &ancestors),
+                tracker.should_prune(),
+                prune,
                 "prune decision at path position {}",
                 markings.len()
             );
-            tracker.push_entry(net, t, markings.len());
+            pruned += usize::from(prune);
+            tracker.push_entry(markings.len());
             markings.push(current);
         }
         // Unwind completely; the tracker must return to its initial state.
         for &t in path.iter().rev() {
-            tracker.pop_entry(net, t);
+            tracker.pop_entry();
             tracker.unfire(net, t);
         }
         assert_eq!(tracker.marking(), &net.initial_marking());
         assert_eq!(tracker.len(), 1);
         assert!(tracker.fired().iter().all(|&f| f == 0));
+        pruned
     }
 
     #[test]
@@ -676,6 +626,55 @@ mod tests {
     }
 
     #[test]
+    fn tracker_matches_oracle_on_deep_over_degree_path() {
+        // a -(3)-> p -(2)-> b: degree(p) = 3 + 2 - 1 = 4, so one firing of
+        // `a` from 3 or more lifts p past its degree. f -(3)-> q lifts q
+        // (degree 2) past its degree with the first firing. d and e
+        // toggle a program-counter place at every other step meanwhile.
+        let mut bl = NetBuilder::new("over_degree");
+        let [p, q, pc0, pc1] =
+            ["p", "q", "pc0", "pc1"].map(|name| bl.place(name, u32::from(name == "pc0")));
+        let a = bl.transition("a", TransitionKind::UncontrollableSource);
+        let [b, f, d, e] = ["b", "f", "d", "e"].map(|n| bl.transition(n, TransitionKind::Internal));
+        for (t, place, weight) in [(a, p, 3), (f, q, 3), (d, pc1, 1), (e, pc0, 1)] {
+            bl.arc_t2p(t, place, weight);
+        }
+        for (place, t, weight) in [(p, b, 2), (pc0, d, 1), (pc1, e, 1)] {
+            bl.arc_p2t(place, t, weight);
+        }
+        let net = bl.build().unwrap();
+        let term = Termination::irrelevance(&net);
+        assert_eq!((term.degree(p), term.degree(q)), (4, 2));
+        let toggles = |n: usize| [d, e].repeat(n);
+        // p: 3, 1, 4 (its degree), 7 (over: irrelevant against p = 4), 5,
+        // 8, 6, 4, 2. While p holds 8, q goes 3, 6: the marking with q = 6
+        // is irrelevant against the one with q = 3 and the same p.
+        let path: Vec<TransitionId> = [
+            vec![a, b, a],
+            toggles(10),
+            vec![a],
+            toggles(10),
+            vec![b],
+            toggles(1),
+            vec![a, f],
+            toggles(2),
+            vec![f],
+            toggles(1),
+            vec![b, b],
+            toggles(1),
+            vec![b],
+            toggles(1),
+        ]
+        .concat();
+        let pruned = assert_tracker_matches_oracle(&net, TerminationKind::Irrelevance, &path);
+        assert_eq!(pruned, 28);
+        let pruned =
+            assert_tracker_matches_oracle(&net, TerminationKind::PlaceBounds { default: 5 }, &path);
+        // p = 7 or 8, or q = 6.
+        assert_eq!(pruned, 37);
+    }
+
+    #[test]
     fn tracker_respects_declared_bounds() {
         let mut b = NetBuilder::new("bounded");
         let p = b.place("p", 0);
@@ -687,11 +686,10 @@ mod tests {
         assert_tracker_matches_oracle(&net, TerminationKind::Irrelevance, &[t, t]);
         let mut tracker = PathTracker::new(&net, TerminationKind::Irrelevance);
         tracker.fire(&net, t);
-        tracker.push_entry(&net, t, 1);
+        tracker.push_entry(1);
         tracker.fire(&net, t);
-        let (num_equal, _) = tracker.equal_ancestors();
         assert!(
-            tracker.should_prune(num_equal),
+            tracker.should_prune(),
             "2 tokens exceed the declared bound 1"
         );
     }

@@ -244,6 +244,14 @@ impl MarkingStore {
         self.row(id.index())
     }
 
+    /// The [`marking_hash`] of the marking behind `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn hash_of(&self, id: MarkingId) -> u64 {
+        self.hashes[id.index()]
+    }
+
     /// Iterator over the interned markings (slab rows), in id order.
     pub fn markings(&self) -> impl Iterator<Item = &[u32]> {
         (0..self.num).map(|i| self.row(i))

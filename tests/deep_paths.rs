@@ -59,6 +59,28 @@ fn four_stage_rate8_chain_runs_the_whole_flow_on_a_1_mib_stack() {
     });
 }
 
+/// The 5-stage rate-8 chain (a 70 218-node schedule) through code
+/// generation on a 1 MiB stack. CI builds the same sample with the real
+/// `qssc` under a 10 s timeout, which holds only while no per-node cost
+/// of the search or of code generation grows with the path depth.
+#[test]
+fn five_stage_rate8_chain_generates_on_a_1_mib_stack() {
+    on_stack(1 << 20, || {
+        let source = divider_chain_source(5, 8);
+        assert_eq!(source, include_str!("../samples/divider_chain5.flowc"));
+        let task = Pipeline::from_source(&source)
+            .expect("the chain parses")
+            .link()
+            .expect("the chain links")
+            .schedule()
+            .expect("the chain schedules")
+            .generate()
+            .expect("the chain generates");
+        assert_eq!(task.schedules.schedules[0].num_nodes(), 70_218);
+        assert_eq!(task.tasks[0].segments.state_places.len(), 5);
+    });
+}
+
 /// A one-stage chain whose schedule path is about 20 000 nodes deep,
 /// built at default options on a default-sized test thread.
 #[test]

@@ -4,10 +4,10 @@
 //! oracle (`qss_core::reference`) — same schedules (node for node,
 //! marking for marking), same search statistics, same channel bounds,
 //! same errors — across fixed paper fixtures, the divider family, the PFC
-//! case study and randomly generated nets (the dense default profile, the
-//! `wide` many-places/sparse-tokens profile that stresses the flat
-//! marking slab, and the `hub` hundreds-of-places profile with
-//! multi-member ECSs). Both engines sweep enabledness with the same
+//! case study, the over-degree FlowC chain and randomly generated nets
+//! (the dense default profile, the `wide` many-places/sparse-tokens
+//! profile that stresses the flat marking slab, and the `hub`
+//! hundreds-of-places profile with multi-member ECSs). Both engines sweep enabledness with the same
 //! scalar walk (`EcsInfo::enabled_ecs_into`).
 //!
 //! Two fixtures outside the oracle's domain pin that the search rejects
@@ -15,7 +15,10 @@
 
 use proptest::prelude::*;
 use qss_bench::experiments::divider_net;
-use qss_bench::testgen::{build_random, hub_net_strategy, random_net_strategy, wide_net_strategy};
+use qss_bench::testgen::{
+    build_random, hub_net_strategy, over_degree_chain_source, random_net_strategy,
+    wide_net_strategy,
+};
 use qss_core::{
     channel_bounds, reference, schedule_system, Result, Schedule, ScheduleError, ScheduleOptions,
     SearchBudget, SearchContext, SearchProfile, SearchStats, TerminationKind,
@@ -171,6 +174,46 @@ fn engines_agree_on_unschedulable_nets() {
     let net = bl.build().unwrap();
     let a = net.transition_by_name("a").unwrap();
     assert_engines_agree_all_profiles(&net, a);
+}
+
+/// The over-degree chain: with the heuristics off the search fires the
+/// input early and lifts the first channel past its degree along deep
+/// paths while the program-counter places toggle, so the irrelevance
+/// check scans the path instead of answering from its counter. With them
+/// on the path stays within the degrees. The node cap keeps the oracle's
+/// per-node path walk short in debug builds.
+#[test]
+fn engines_agree_on_over_degree_chains() {
+    for k in [4, 5, 50] {
+        let system = qss::Pipeline::from_source(&over_degree_chain_source(k))
+            .and_then(|pipeline| pipeline.link())
+            .expect("the chain links")
+            .system;
+        let source = system.uncontrollable_sources()[0];
+        for base in [
+            ScheduleOptions::default(),
+            ScheduleOptions::default().without_heuristics(),
+        ] {
+            let options = ScheduleOptions {
+                max_nodes: 3_000,
+                ..base
+            };
+            assert_engines_agree(&system.net, source, &options);
+        }
+        // Without the heuristics the irrelevance criterion does cut.
+        let mut profile = SearchProfile::default();
+        let _ = SearchContext::new(&system.net).find_schedule_profiled(
+            &system.net,
+            source,
+            &ScheduleOptions {
+                max_nodes: 3_000,
+                ..ScheduleOptions::default().without_heuristics()
+            },
+            &SearchBudget::unlimited(),
+            &mut profile,
+        );
+        assert!(profile.irrelevance_cuts > 0, "k = {k}: no cuts");
+    }
 }
 
 #[test]
