@@ -1,6 +1,5 @@
 //! Criterion benchmark of the code generator (Table 2 pipeline): schedule
-//! decomposition into code segments and C emission for the PFC task, plus
-//! the code-segment-sharing ablation.
+//! decomposition into code segments and C emission for the PFC task.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qss_bench::pfc_setup;
@@ -15,28 +14,13 @@ fn bench_codegen(c: &mut Criterion) {
     group.bench_function("segment_graph", |b| {
         b.iter(|| SegmentGraph::build(schedule, &setup.system.net).unwrap())
     });
-    group.bench_function("generate_task_shared", |b| {
+    group.bench_function("generate_task", |b| {
         b.iter(|| {
             generate_task(
                 &setup.system,
                 schedule,
                 &setup.schedules.channel_bounds,
                 &TaskOptions::default(),
-            )
-            .unwrap()
-        })
-    });
-    group.bench_function("generate_task_unshared", |b| {
-        let options = TaskOptions {
-            share_code_segments: false,
-            ..Default::default()
-        };
-        b.iter(|| {
-            generate_task(
-                &setup.system,
-                schedule,
-                &setup.schedules.channel_bounds,
-                &options,
             )
             .unwrap()
         })

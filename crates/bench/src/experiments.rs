@@ -54,7 +54,6 @@ pub fn pfc_setup(params: PfcParams) -> PfcSetup {
         &context,
         &ScheduleOptions::default(),
         &SearchBudget::unlimited(),
-        false,
     )
     .expect("PFC is schedulable");
     let task = generate_task(

@@ -18,10 +18,6 @@ use std::fmt::Write as _;
 /// Options controlling task synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TaskOptions {
-    /// Share code segments between threads (the paper's default). The
-    /// current emitter always shares; the flag is accepted so that a
-    /// thread-unrolling baseline can be added without an API break.
-    pub share_code_segments: bool,
     /// Implement intra-task channels as local buffers/variables instead of
     /// run-time communication primitives.
     pub inline_communication: bool,
@@ -30,7 +26,6 @@ pub struct TaskOptions {
 impl Default for TaskOptions {
     fn default() -> Self {
         TaskOptions {
-            share_code_segments: true,
             inline_communication: true,
         }
     }
@@ -645,15 +640,9 @@ mod tests {
     fn schedule_default(system: &LinkedSystem) -> SystemSchedules {
         let context = SearchContext::new(&system.net);
         let budget = SearchBudget::unlimited();
-        schedule_system(
-            system,
-            &context,
-            &ScheduleOptions::default(),
-            &budget,
-            false,
-        )
-        .unwrap()
-        .0
+        schedule_system(system, &context, &ScheduleOptions::default(), &budget)
+            .unwrap()
+            .0
     }
 
     fn pipeline_system() -> LinkedSystem {

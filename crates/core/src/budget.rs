@@ -66,9 +66,9 @@ impl BudgetConfig {
 /// A runtime budget for one scheduling request.
 ///
 /// The deadline is an absolute instant, so one budget shared by the
-/// per-source searches of a system (including the parallel scheduler)
-/// bounds their *combined* wall clock; `max_steps` is charged per source
-/// search (each source gets a fresh [`BudgetChecker`]).
+/// per-source searches of a system bounds their *combined* wall clock;
+/// `max_steps` is charged per source search (each source gets a fresh
+/// [`BudgetChecker`]).
 #[derive(Debug, Clone, Default)]
 pub struct SearchBudget {
     /// Cap on expansion steps per source search.

@@ -241,8 +241,8 @@ impl SearchProfile {
 /// The context is an owned value (no borrow of the net): the net is
 /// passed to each call instead, and — like
 /// [`Marking`](qss_petri::Marking) — the caller is responsible for only
-/// combining a context with the net it was computed from. All fields are immutable after construction, so one context can
-/// be shared by reference across threads (see [`schedule_system`]).
+/// combining a context with the net it was computed from. All fields are
+/// immutable after construction.
 #[derive(Debug, Clone)]
 pub struct SearchContext {
     ecs: EcsInfo,
@@ -435,17 +435,11 @@ impl SystemSchedules {
 /// [`SearchProfile`] of every per-source search, including the context
 /// build time of `context`.
 ///
-/// Every per-source search runs under `budget`: the deadline (an absolute
-/// instant) bounds the *combined* wall clock of all sources, and the step
-/// cap is charged per source.
-///
-/// With `parallel`, the per-source searches fan out across threads
-/// (`std::thread::scope`) that share the read-only context. The searches
-/// of different sources only read the net and the per-net analyses, so
-/// the result is identical to the sequential path: schedules and profiles
-/// are collected in source order and, when several sources fail, the
-/// error of the earliest source is reported, exactly as the sequential
-/// loop would.
+/// The sources are searched one after another in source order, and the
+/// first failing source's error is returned. Every per-source search runs
+/// under `budget`: the deadline (an absolute instant) bounds the
+/// *combined* wall clock of all sources, and the step cap is charged per
+/// source.
 ///
 /// # Errors
 /// Propagates [`SearchContext::find_schedule_profiled`] errors, and
@@ -455,49 +449,19 @@ pub fn schedule_system(
     context: &SearchContext,
     options: &ScheduleOptions,
     budget: &SearchBudget,
-    parallel: bool,
 ) -> Result<(SystemSchedules, SearchProfile)> {
     let net = &system.net;
-    let search = |source: TransitionId| {
-        let mut profile = SearchProfile::default();
-        let outcome = context.find_schedule_profiled(net, source, options, budget, &mut profile);
-        (outcome, profile)
-    };
     let mut profile = SearchProfile {
         context_build_micros: context.build_micros(),
         ..SearchProfile::default()
     };
     let mut schedules = Vec::new();
     let mut stats = Vec::new();
-    // Absorbs the work counters before propagating errors, so the two
-    // paths stop at the same (earliest) failing source.
-    let mut collect =
-        |(outcome, source_profile): (Result<(Schedule, SearchStats)>, SearchProfile)| {
-            profile.absorb(&source_profile);
-            outcome.map(|(s, st)| {
-                schedules.push(s);
-                stats.push(st);
-            })
-        };
-    let sources = system.uncontrollable_sources();
-    if parallel && sources.len() > 1 {
-        let outcomes: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sources
-                .iter()
-                .map(|&source| scope.spawn(move || search(source)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("a scheduling thread panicked"))
-                .collect()
-        });
-        for outcome in outcomes {
-            collect(outcome)?;
-        }
-    } else {
-        for source in sources {
-            collect(search(source))?;
-        }
+    for source in system.uncontrollable_sources() {
+        let outcome = context.find_schedule_profiled(net, source, options, budget, &mut profile);
+        let (schedule, source_stats) = outcome?;
+        schedules.push(schedule);
+        stats.push(source_stats);
     }
     if let Err((first, second)) = is_independent_set(&schedules, net) {
         return Err(ScheduleError::NotIndependent { first, second });

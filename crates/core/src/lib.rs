@@ -16,8 +16,8 @@
 //!   one uncontrollable source transition with the EP/EP_ECS search of
 //!   Sec. 5,
 //! * [`schedule_system`] — compute schedules for every uncontrollable
-//!   source of a linked system (sequentially or in parallel) and check
-//!   their independence,
+//!   source of a linked system, one after another, and check their
+//!   independence,
 //! * [`independence`] — independence and channel-bound analysis (Sec. 4.3),
 //! * [`termination`] — the place-bound and irrelevant-marking pruning
 //!   criteria (Sec. 4.4).

@@ -14,16 +14,14 @@
 //! callback posts the finished response back to the connection core's
 //! event loop.
 
-use crate::cache::ContextCache;
+use crate::cache::{ContextCache, ReportCache};
 use crate::coalesce::{InFlightTable, SearchKey, SearchOutcome, SharedSearch, Ticket};
-use crate::util::lock;
 use qss::remote::{fingerprint_hex, CheckSummary, ErrorKind, Request, RequestKind, WireError};
 use qss::{LinkedArtifact, Pipeline, QssError, SearchContext, SystemSchedules};
 use qss_obs::{Counter, Observer, SpanId};
 use serde_json::Value;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How a finished response travels back to the connection core. Called
@@ -75,87 +73,6 @@ impl Counters {
         observer.adopt_counter("loop.partial_reads", &self.partial_reads);
         observer.adopt_counter("loop.partial_writes", &self.partial_writes);
         observer.adopt_counter("loop.held_responses", &self.held_responses);
-    }
-}
-
-/// Bounded LRU cache of serialized `AnalysisReport`s, keyed by
-/// `(fingerprint, ordered_digest)` — the same double guard the context
-/// cache uses, since the report embeds id-indexed facts. Analysis is
-/// pure and deterministic, so a hit returns bytes identical to a fresh
-/// run; the `cached` flag in the response is the only difference.
-///
-/// Recency is tracked with a monotonic tick stamped on every `get` and
-/// `insert` (the same scheme [`ContextCache`] uses): a hit refreshes the
-/// entry, eviction removes the smallest tick. Locking goes through
-/// [`crate::util::lock`], which shrugs off poisoning — a panic elsewhere
-/// must degrade one request, not silently turn the cache into a
-/// permanent miss.
-pub(crate) struct ReportCache {
-    state: Mutex<ReportCacheState>,
-    capacity: usize,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
-
-struct ReportCacheState {
-    entries: HashMap<(u64, u64), (Value, u64)>,
-    tick: u64,
-}
-
-impl ReportCache {
-    fn new(capacity: usize) -> Self {
-        ReportCache {
-            state: Mutex::new(ReportCacheState {
-                entries: HashMap::new(),
-                tick: 0,
-            }),
-            capacity: capacity.max(1),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
-        }
-    }
-
-    /// Registers the cache's counter cells with the observer's registry.
-    fn adopt_into(&self, observer: &Observer) {
-        observer.adopt_counter("report_cache.hits", &self.hits);
-        observer.adopt_counter("report_cache.misses", &self.misses);
-        observer.adopt_counter("report_cache.evictions", &self.evictions);
-    }
-
-    fn get(&self, fingerprint: u64, digest: u64) -> Option<Value> {
-        let mut state = lock(&self.state);
-        state.tick += 1;
-        let tick = state.tick;
-        let Some((report, stamp)) = state.entries.get_mut(&(fingerprint, digest)) else {
-            self.misses.inc();
-            return None;
-        };
-        *stamp = tick;
-        self.hits.inc();
-        Some(report.clone())
-    }
-
-    fn insert(&self, fingerprint: u64, digest: u64, report: Value) {
-        let mut state = lock(&self.state);
-        state.tick += 1;
-        let tick = state.tick;
-        if state.entries.contains_key(&(fingerprint, digest)) {
-            return;
-        }
-        if state.entries.len() >= self.capacity {
-            let oldest = state
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(key, _)| *key);
-            if let Some(key) = oldest {
-                state.entries.remove(&key);
-                self.evictions.inc();
-            }
-        }
-        state.entries.insert((fingerprint, digest), (report, tick));
     }
 }
 
@@ -444,15 +361,9 @@ fn run_search(
     deadline: Option<Instant>,
 ) -> Result<SystemSchedules, WireError> {
     let budget = linked.config.budget.to_budget().and_deadline(deadline);
-    qss::schedule_system(
-        &linked.system,
-        context,
-        &linked.config.schedule,
-        &budget,
-        linked.config.parallel_schedule,
-    )
-    .map(|(schedules, _)| schedules)
-    .map_err(|e| WireError::from(QssError::from(e)))
+    qss::schedule_system(&linked.system, context, &linked.config.schedule, &budget)
+        .map(|(schedules, _)| schedules)
+        .map_err(|e| WireError::from(QssError::from(e)))
 }
 
 /// `{"fingerprint": ..., ["cached": ...,] "artifact": ...}`.
@@ -475,53 +386,6 @@ fn to_value<T: serde::Serialize>(value: &T) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-
-    fn entry(n: u64) -> Value {
-        Value::String(format!("report-{n}"))
-    }
-
-    #[test]
-    fn report_cache_hits_refresh_recency() {
-        let cache = ReportCache::new(2);
-        cache.insert(1, 1, entry(1));
-        cache.insert(2, 2, entry(2));
-        // Touch the older entry: it becomes the most recent.
-        assert_eq!(cache.get(1, 1), Some(entry(1)));
-        // Inserting over capacity now evicts (2, 2), not (1, 1).
-        cache.insert(3, 3, entry(3));
-        assert_eq!(cache.get(1, 1), Some(entry(1)));
-        assert_eq!(cache.get(2, 2), None);
-        assert_eq!(cache.get(3, 3), Some(entry(3)));
-    }
-
-    #[test]
-    fn report_cache_keys_on_both_fingerprint_and_digest() {
-        let cache = ReportCache::new(4);
-        cache.insert(1, 1, entry(1));
-        assert_eq!(cache.get(1, 2), None);
-        assert_eq!(cache.get(2, 1), None);
-        assert_eq!(cache.get(1, 1), Some(entry(1)));
-    }
-
-    #[test]
-    fn a_poisoned_lock_is_not_a_permanent_cache_miss() {
-        let cache = Arc::new(ReportCache::new(2));
-        cache.insert(1, 1, entry(1));
-        // Poison the mutex: a thread panics while holding the lock.
-        let poisoner = Arc::clone(&cache);
-        let _ = thread::spawn(move || {
-            let _guard = poisoner.state.lock();
-            panic!("poison the report cache lock");
-        })
-        .join();
-        // The cache shrugs it off: hits still hit, inserts still land.
-        // (This was a real bug: `lock().ok()?` silently disabled the
-        // cache forever after any such panic.)
-        assert_eq!(cache.get(1, 1), Some(entry(1)));
-        cache.insert(2, 2, entry(2));
-        assert_eq!(cache.get(2, 2), Some(entry(2)));
-    }
 
     #[test]
     fn search_slots_are_a_counting_semaphore() {

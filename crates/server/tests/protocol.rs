@@ -171,6 +171,64 @@ fn mini_fuzz_mutated_requests_never_kill_the_server() {
     server.shutdown_and_join().unwrap();
 }
 
+/// Two independent producer/consumer pairs: two uncontrollable inputs.
+const TWO_PAIRS: &str = "SYSTEM two_pairs {
+    CHANNEL left.out -> left_sink.data;
+    CHANNEL right.out -> right_sink.data;
+}
+PROCESS left (In DPORT go, Out DPORT out) {
+    int x;
+    while (1) { READ_DATA(go, x, 1); WRITE_DATA(out, x + 1, 1); }
+}
+PROCESS left_sink (In DPORT data, Out DPORT res) {
+    int y;
+    while (1) { READ_DATA(data, y, 1); WRITE_DATA(res, y, 1); }
+}
+PROCESS right (In DPORT go, Out DPORT out) {
+    int x;
+    while (1) { READ_DATA(go, x, 1); WRITE_DATA(out, 2 * x, 1); }
+}
+PROCESS right_sink (In DPORT data, Out DPORT res) {
+    int y;
+    while (1) { READ_DATA(data, y, 1); WRITE_DATA(res, y, 1); }
+}";
+
+#[test]
+fn removed_config_keys_change_nothing_in_a_schedule_result() {
+    let server = small_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let source = serde_json::to_string(TWO_PAIRS).unwrap();
+    let mut schedule = |config: &str| {
+        let line = format!(
+            "{{\"id\": 1, \"kind\": \"schedule\", \"source\": {source}, \"config\": {config}}}"
+        );
+        let response = client.raw_line(&line).expect("server must answer");
+        let (_, result) = qss::remote::parse_response(&response).expect("response must be JSON");
+        serde_json::to_string(&result.expect("two pairs are schedulable")).unwrap()
+    };
+    // The first request builds the context; the next two both hit it.
+    schedule("{}");
+    let plain = schedule("{}");
+    // The thread fan-out switch and the code-sharing flag once selected
+    // behaviour; a config that still carries them is the default config.
+    let with_removed_keys = schedule(
+        "{\"parallel_schedule\": true, \
+         \"task\": {\"share_code_segments\": false, \"inline_communication\": true}}",
+    );
+    assert_eq!(with_removed_keys, plain);
+    assert!(plain.contains("\"cached\":true"), "result: {plain}");
+    assert!(!plain.contains("parallel_schedule"));
+    let result: serde_json::Value = serde_json::from_str(&plain).unwrap();
+    let schedules = result
+        .get("artifact")
+        .and_then(|artifact| artifact.get("schedules"))
+        .and_then(|schedules| schedules.get("schedules"))
+        .and_then(serde_json::Value::as_array)
+        .expect("a schedule artifact");
+    assert_eq!(schedules.len(), 2, "one schedule per input");
+    server.shutdown_and_join().unwrap();
+}
+
 /// A schedule request that holds its search slot for `deadline_ms`
 /// before timing out — the "slow" half of every ordering test.
 fn slow_schedule(deadline_ms: u64) -> Request {

@@ -309,15 +309,9 @@ mod tests {
     fn schedule_default(system: &LinkedSystem) -> SystemSchedules {
         let context = SearchContext::new(&system.net);
         let budget = SearchBudget::unlimited();
-        schedule_system(
-            system,
-            &context,
-            &ScheduleOptions::default(),
-            &budget,
-            false,
-        )
-        .unwrap()
-        .0
+        schedule_system(system, &context, &ScheduleOptions::default(), &budget)
+            .unwrap()
+            .0
     }
 
     fn pipeline_system() -> LinkedSystem {

@@ -35,7 +35,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &context,
         &ScheduleOptions::default(),
         &SearchBudget::unlimited(),
-        false,
     )?;
     let schedule = &schedules.schedules[0];
     println!(

@@ -48,14 +48,8 @@ fn build(
 fn schedule(system: &LinkedSystem) -> Result<SystemSchedules, ScheduleError> {
     let context = SearchContext::new(&system.net);
     let budget = SearchBudget::unlimited();
-    schedule_system(
-        system,
-        &context,
-        &ScheduleOptions::default(),
-        &budget,
-        false,
-    )
-    .map(|(schedules, _)| schedules)
+    schedule_system(system, &context, &ScheduleOptions::default(), &budget)
+        .map(|(schedules, _)| schedules)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

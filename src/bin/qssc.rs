@@ -59,7 +59,6 @@ BUILD OPTIONS:
     --place-bound N       prune with uniform place bounds instead of the
                           irrelevant-marking criterion
     --no-heuristics       disable the search-ordering heuristics
-    --parallel            schedule the uncontrollable inputs on threads
     --search-profile      print the search work profile (nodes expanded,
                           backtracks, pruning cuts, per-phase times) to
                           stderr after the build, and include it in the
@@ -202,7 +201,6 @@ fn parse_build_args(args: &[String]) -> Result<BuildArgs, Exit> {
                 };
             }
             "--no-heuristics" => config.schedule = config.schedule.without_heuristics(),
-            "--parallel" => config.parallel_schedule = true,
             "--search-profile" => config.emit_search_profile = true,
             // A bare `-` is the stdin pseudo-path, not a flag.
             flag if flag.starts_with('-') && flag != "-" => {

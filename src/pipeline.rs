@@ -108,9 +108,6 @@ pub struct PipelineConfig {
     pub multitask_buffer_size: u32,
     /// Safety bound on executor steps (both executors).
     pub max_sim_steps: u64,
-    /// Fan the per-source schedule searches out across threads
-    /// (identical results, one thread per uncontrollable input).
-    pub parallel_schedule: bool,
     /// Cooperative budget for the schedule search (step cap and/or
     /// wall-clock deadline; empty = unlimited, today's behavior).
     pub budget: BudgetConfig,
@@ -130,7 +127,6 @@ impl Default for PipelineConfig {
             profile: CostProfile::Unoptimized,
             multitask_buffer_size: 4,
             max_sim_steps: 200_000_000,
-            parallel_schedule: false,
             budget: BudgetConfig::default(),
             emit_search_profile: false,
         }
@@ -154,10 +150,6 @@ impl Serialize for PipelineConfig {
                 self.multitask_buffer_size.to_value(),
             ),
             ("max_sim_steps".into(), self.max_sim_steps.to_value()),
-            (
-                "parallel_schedule".into(),
-                self.parallel_schedule.to_value(),
-            ),
             ("budget".into(), self.budget.to_value()),
         ];
         // Skip-if-default: configs written before this field existed and
@@ -177,9 +169,11 @@ impl Serialize for PipelineConfig {
 /// Hand-written and *lenient*: every missing top-level field takes its
 /// default, so `{}`, configurations serialized before a field existed
 /// (archived artifacts, older clients of a `qssd` service) and a fully
-/// spelled-out default all parse to the same value. A field that is
-/// present but malformed still errors — leniency covers absence, not
-/// invalid input.
+/// spelled-out default all parse to the same value. Unknown keys are
+/// ignored, so a config carrying a field that has since been removed
+/// parses (and serializes) like one without it. A field that is present
+/// but malformed still errors — leniency covers absence, not invalid
+/// input.
 impl<'de> Deserialize<'de> for PipelineConfig {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
         if value.as_object().is_none() {
@@ -209,7 +203,6 @@ impl<'de> Deserialize<'de> for PipelineConfig {
                 defaults.multitask_buffer_size,
             )?,
             max_sim_steps: opt(value, "max_sim_steps", defaults.max_sim_steps)?,
-            parallel_schedule: opt(value, "parallel_schedule", defaults.parallel_schedule)?,
             budget: opt(value, "budget", defaults.budget)?,
             emit_search_profile: opt(value, "emit_search_profile", defaults.emit_search_profile)?,
         })
@@ -406,7 +399,6 @@ impl LinkedArtifact {
             &context,
             &self.config.schedule,
             &self.config.budget.to_budget(),
-            self.config.parallel_schedule,
         )?;
         Ok(self
             .attach_schedules(schedules, context)

@@ -526,10 +526,6 @@ pub enum LineRead {
     TooLarge,
     /// End of stream before any byte of a new line.
     Eof,
-    /// A deadline expired while waiting for (the rest of) the line —
-    /// only produced by [`read_line_bounded_with_tick`] when its tick
-    /// callback gives up.
-    TimedOut,
 }
 
 /// Reads one `\n`-terminated line of at most `max` bytes.
@@ -540,59 +536,14 @@ pub enum LineRead {
 /// without dropping the connection.
 ///
 /// # Errors
-/// Propagates transport errors from the underlying reader.
+/// Propagates transport errors from the underlying reader, read timeouts
+/// included.
 pub fn read_line_bounded(reader: &mut impl BufRead, max: usize) -> io::Result<LineRead> {
-    read_line_inner(reader, max, None)
-}
-
-/// Like [`read_line_bounded`], on a reader whose `fill_buf` can time out
-/// (a `TcpStream` with a read timeout). Every time the underlying read
-/// times out, `tick` is called with whether a line is in progress (some
-/// bytes arrived but no `\n` yet); returning `false` abandons the read
-/// as [`LineRead::TimedOut`], returning `true` keeps waiting.
-///
-/// This is how the server implements both its idle reaper (no line in
-/// progress for too long) and its slowloris guard (a line dribbling in
-/// for too long) with one blocking thread and no timer wheel.
-///
-/// # Errors
-/// Propagates transport errors other than the timeout kinds.
-pub fn read_line_bounded_with_tick(
-    reader: &mut impl BufRead,
-    max: usize,
-    tick: &mut dyn FnMut(bool) -> bool,
-) -> io::Result<LineRead> {
-    read_line_inner(reader, max, Some(tick))
-}
-
-fn read_line_inner(
-    reader: &mut impl BufRead,
-    max: usize,
-    mut tick: Option<&mut dyn FnMut(bool) -> bool>,
-) -> io::Result<LineRead> {
     let mut line: Vec<u8> = Vec::new();
     let mut oversized = false;
     loop {
         let (consumed, terminated, at_eof) = {
-            let available = match reader.fill_buf() {
-                Ok(available) => available,
-                // A read timeout surfaces as `WouldBlock` or `TimedOut`
-                // depending on the platform.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) && tick.is_some() =>
-                {
-                    let started = !line.is_empty() || oversized;
-                    let keep_waiting = tick.as_mut().map(|tick| tick(started)).unwrap_or(false);
-                    if keep_waiting {
-                        continue;
-                    }
-                    return Ok(LineRead::TimedOut);
-                }
-                Err(e) => return Err(e),
-            };
+            let available = reader.fill_buf()?;
             if available.is_empty() {
                 (0, false, true)
             } else {
@@ -876,12 +827,6 @@ impl Client {
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             )),
-            // The client reads without a tick callback, so a timeout can
-            // only come from a read timeout the caller set on the socket.
-            LineRead::TimedOut => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "timed out waiting for the response",
-            )),
         }
     }
 
@@ -974,9 +919,6 @@ impl Client {
             }
             LineRead::Eof => {
                 return Err(ClientError::Io("server closed the connection".into()));
-            }
-            LineRead::TimedOut => {
-                return Err(ClientError::Io("timed out waiting for a response".into()));
             }
         };
         let (id, result) = parse_response(&line).map_err(ClientError::Protocol)?;
@@ -1481,77 +1423,6 @@ mod tests {
         let wire = WireError::from(QssError::from(inner));
         assert_eq!(wire.kind, ErrorKind::Timeout);
         assert!(wire.message.contains("deadline exceeded"));
-    }
-
-    /// A reader that yields `WouldBlock` before each chunk, like a socket
-    /// with a read timeout and a dribbling peer.
-    struct ChunkyReader {
-        chunks: Vec<Vec<u8>>,
-        next: usize,
-        ready: bool,
-        consumed_in_chunk: usize,
-    }
-
-    impl ChunkyReader {
-        fn new(chunks: &[&[u8]]) -> Self {
-            ChunkyReader {
-                chunks: chunks.iter().map(|c| c.to_vec()).collect(),
-                next: 0,
-                ready: false,
-                consumed_in_chunk: 0,
-            }
-        }
-    }
-
-    impl std::io::Read for ChunkyReader {
-        fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
-            unreachable!("read_line_inner uses fill_buf/consume only")
-        }
-    }
-
-    impl BufRead for ChunkyReader {
-        fn fill_buf(&mut self) -> io::Result<&[u8]> {
-            if self.next >= self.chunks.len() {
-                return Ok(&[]);
-            }
-            if !self.ready {
-                self.ready = true;
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "timed out"));
-            }
-            Ok(&self.chunks[self.next][self.consumed_in_chunk..])
-        }
-
-        fn consume(&mut self, amt: usize) {
-            self.consumed_in_chunk += amt;
-            if self.consumed_in_chunk >= self.chunks[self.next].len() {
-                self.next += 1;
-                self.consumed_in_chunk = 0;
-                self.ready = false;
-            }
-        }
-    }
-
-    #[test]
-    fn tick_reader_reports_line_progress_and_gives_up_on_demand() {
-        // Patient tick: observes one not-started tick, then in-progress
-        // ticks once bytes arrived.
-        let mut reader = ChunkyReader::new(&[b"par", b"tial\n"]);
-        let mut observed = Vec::new();
-        let mut tick = |started: bool| {
-            observed.push(started);
-            true
-        };
-        let read = read_line_bounded_with_tick(&mut reader, 64, &mut tick).unwrap();
-        assert!(matches!(read, LineRead::Line(l) if l == "partial"));
-        assert_eq!(observed, vec![false, true]);
-
-        // Impatient tick: gives up immediately.
-        let mut reader = ChunkyReader::new(&[b"never\n"]);
-        let mut give_up = |_started: bool| false;
-        assert!(matches!(
-            read_line_bounded_with_tick(&mut reader, 64, &mut give_up).unwrap(),
-            LineRead::TimedOut
-        ));
     }
 
     #[test]

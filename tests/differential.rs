@@ -151,7 +151,7 @@ fn engines_agree_on_pfc_system_and_channel_bounds() {
     let context = SearchContext::new(&system.net);
     let budget = SearchBudget::unlimited();
     let (schedules, _) =
-        schedule_system(&system, &context, &options, &budget, false).expect("PFC schedules");
+        schedule_system(&system, &context, &options, &budget).expect("PFC schedules");
     assert_eq!(
         schedules.channel_bounds,
         channel_bounds(&reference_schedules, &system.net)

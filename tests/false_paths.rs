@@ -58,7 +58,7 @@ fn schedule(
     options: &ScheduleOptions,
 ) -> Result<SystemSchedules, ScheduleError> {
     let context = SearchContext::new(&system.net);
-    schedule_system(system, &context, options, &SearchBudget::unlimited(), false)
+    schedule_system(system, &context, options, &SearchBudget::unlimited())
         .map(|(schedules, _)| schedules)
 }
 

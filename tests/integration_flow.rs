@@ -5,11 +5,12 @@
 
 use qss::{
     schedule_system, CostProfile, EnvEvent, LinkedSystem, Pipeline, PipelineConfig, PortClass,
-    QssError, ScheduleError, ScheduleOptions, SearchBudget, SearchContext, SearchProfile,
-    SystemSchedules, SystemSpec, TaskArtifact,
+    QssError, Schedule, ScheduleError, ScheduleOptions, SearchBudget, SearchContext, SearchProfile,
+    SystemSpec, TaskArtifact,
 };
 use qss_codegen::SegmentGraph;
 use qss_core::execute_run;
+use qss_petri::TransitionId;
 use qss_sim::{pfc_events, pfc_expected_outputs, pfc_spec, size_report, PfcParams};
 
 /// A three-stage pipeline with a data-dependent branch in the middle
@@ -243,8 +244,7 @@ fn controllable_inputs_are_excluded_from_task_generation() {
     assert!(schedule.involved_transitions().contains(&controllable));
 }
 
-/// Two independent producer/consumer pairs: two uncontrollable inputs,
-/// so the parallel scheduler actually fans out.
+/// Two independent producer/consumer pairs: two uncontrollable inputs.
 fn two_pair_system() -> qss_flowc::LinkedSystem {
     qss::link(
         &qss::parse_system(
@@ -274,81 +274,54 @@ fn two_pair_system() -> qss_flowc::LinkedSystem {
     .unwrap()
 }
 
-/// `schedule_system` on a fresh context under an unlimited budget.
-fn schedule(
+/// A lone search of `source` on `context` under an unlimited budget.
+fn search_one(
     system: &LinkedSystem,
-    options: &ScheduleOptions,
-    parallel: bool,
-) -> Result<(SystemSchedules, SearchProfile), ScheduleError> {
-    let context = SearchContext::new(&system.net);
-    schedule_system(
-        system,
-        &context,
-        options,
-        &SearchBudget::unlimited(),
-        parallel,
-    )
-}
-
-/// The work counters of a profile: every row except the wall times.
-fn work_counters(profile: &SearchProfile) -> Vec<(&'static str, u64)> {
-    profile
-        .rows()
-        .into_iter()
-        .filter(|(name, _)| !name.ends_with("_micros"))
-        .collect()
+    context: &SearchContext,
+    source: TransitionId,
+) -> Result<Schedule, ScheduleError> {
+    let mut profile = SearchProfile::default();
+    context
+        .find_schedule_profiled(
+            &system.net,
+            source,
+            &ScheduleOptions::default(),
+            &SearchBudget::unlimited(),
+            &mut profile,
+        )
+        .map(|(schedule, _)| schedule)
 }
 
 #[test]
-fn parallel_scheduling_matches_sequential_results() {
+fn two_input_systems_are_scheduled_in_source_order() {
     let system = two_pair_system();
-    assert_eq!(system.uncontrollable_sources().len(), 2);
-    let options = ScheduleOptions::default();
-    let (sequential, sequential_profile) = schedule(&system, &options, false).unwrap();
-    let (parallel, parallel_profile) = schedule(&system, &options, true).unwrap();
-    assert_eq!(parallel.schedules, sequential.schedules);
-    assert_eq!(parallel.channel_bounds, sequential.channel_bounds);
-    assert_eq!(parallel.stats, sequential.stats);
-    // The merged per-thread profiles count exactly the sequential work.
-    assert_eq!(sequential_profile.searches, 2);
-    assert!(sequential_profile.nodes_expanded > 0);
-    assert_eq!(
-        work_counters(&parallel_profile),
-        work_counters(&sequential_profile)
-    );
-
-    // The pipeline flag drives the same code path.
-    let spec = qss::parse_system(
-        "SYSTEM pair { CHANNEL a.out -> b.data; }
-         PROCESS a (In DPORT go, Out DPORT out) {
-             int x;
-             while (1) { READ_DATA(go, x, 1); WRITE_DATA(out, x, 1); }
-         }
-         PROCESS b (In DPORT data, Out DPORT res) {
-             int y;
-             while (1) { READ_DATA(data, y, 1); WRITE_DATA(res, y, 1); }
-         }",
+    let sources = system.uncontrollable_sources();
+    assert_eq!(sources.len(), 2);
+    let context = SearchContext::new(&system.net);
+    let (scheduled, profile) = schedule_system(
+        &system,
+        &context,
+        &ScheduleOptions::default(),
+        &SearchBudget::unlimited(),
     )
     .unwrap();
-    let config = PipelineConfig {
-        parallel_schedule: true,
-        ..PipelineConfig::default()
-    };
-    let scheduled = Pipeline::new(spec.clone())
-        .with_config(config)
-        .link()
-        .unwrap()
-        .schedule()
-        .unwrap();
-    let baseline = Pipeline::new(spec).link().unwrap().schedule().unwrap();
-    assert_eq!(scheduled.schedules.schedules, baseline.schedules.schedules);
+    // One search per input, and the profile counts both.
+    assert_eq!(profile.searches, 2);
+    assert!(profile.nodes_expanded > 0);
+    assert_eq!(scheduled.stats.len(), 2);
+    let order: Vec<_> = scheduled.schedules.iter().map(|s| s.source()).collect();
+    assert_eq!(order, sources);
+    // Each schedule is the one a lone search of its input finds.
+    for (schedule, &source) in scheduled.schedules.iter().zip(&sources) {
+        assert_eq!(&search_one(&system, &context, source).unwrap(), schedule);
+    }
 }
 
 #[test]
-fn parallel_scheduling_reports_the_earliest_failure() {
+fn two_input_systems_report_the_earliest_failure() {
     // Two uncontrollable sources feeding one synchronising transition:
-    // no single-source schedule exists for either (Figure 4(b)). The
-    // parallel path must report the same error as the sequential one.
+    // no single-source schedule exists for either (Figure 4(b)), and the
+    // system search reports the error of the first source.
     let spec = qss::parse_system(
         "SYSTEM sync {
              CHANNEL a.out -> join.ina;
@@ -373,8 +346,18 @@ fn parallel_scheduling_reports_the_earliest_failure() {
     )
     .unwrap();
     let system = qss::link(&spec).unwrap();
-    let options = ScheduleOptions::default();
-    let sequential = schedule(&system, &options, false).unwrap_err();
-    let parallel = schedule(&system, &options, true).unwrap_err();
-    assert_eq!(parallel, sequential);
+    let sources = system.uncontrollable_sources();
+    assert_eq!(sources.len(), 2);
+    let context = SearchContext::new(&system.net);
+    let first = search_one(&system, &context, sources[0]).unwrap_err();
+    let second = search_one(&system, &context, sources[1]).unwrap_err();
+    assert_ne!(first, second);
+    let error = schedule_system(
+        &system,
+        &context,
+        &ScheduleOptions::default(),
+        &SearchBudget::unlimited(),
+    )
+    .unwrap_err();
+    assert_eq!(error, first);
 }

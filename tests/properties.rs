@@ -162,7 +162,7 @@ proptest! {
         let context = SearchContext::new(&system.net);
         let budget = SearchBudget::unlimited();
         let (schedules, _) =
-            schedule_system(&system, &context, &ScheduleOptions::default(), &budget, false)
+            schedule_system(&system, &context, &ScheduleOptions::default(), &budget)
                 .unwrap();
         let events: Vec<EnvEvent> = inputs
             .iter()

@@ -81,6 +81,46 @@ fn build_emits_c_json_dot_and_the_golden_report() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
+/// The two-input sample (two copies of the PFC controller/producer/
+/// filter/consumer loop, one uncontrollable input each) generates one
+/// task per input, in source order. Both tasks and the report are pinned
+/// byte for byte.
+#[test]
+fn build_of_the_multi_input_sample_matches_the_golden_c_and_report() {
+    let out = temp_dir("multi");
+    let report_path = out.join("report.json");
+    let status = qssc()
+        .args([
+            "build",
+            repo_file("samples/multi_input.flowc").to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+            "--events",
+            "ctl0.init=1,2,3",
+            "--events",
+            "ctl1.init=4,5",
+            "--report",
+            report_path.to_str().unwrap(),
+        ])
+        .status()
+        .unwrap();
+    assert!(status.success());
+    for input in ["ctl0_init", "ctl1_init"] {
+        let c = std::fs::read_to_string(out.join(format!("multi.task_{input}.c"))).unwrap();
+        let golden = repo_file(&format!("samples/multi_input.task_{input}.golden.c"));
+        assert_eq!(
+            c,
+            std::fs::read_to_string(golden).unwrap(),
+            "generated C for `{input}` drifted from the golden file"
+        );
+    }
+    let report = std::fs::read_to_string(&report_path).unwrap();
+    let golden =
+        std::fs::read_to_string(repo_file("samples/multi_input.report.golden.json")).unwrap();
+    assert_eq!(report, golden, "report drifted from the golden file");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
 /// The mixed data-control sample (if/else split, unequal-rate `SELECT`
 /// merge, multi-rate divider tail) generates a switch-bearing task:
 /// several code segments, threads and state variables. Its C and report

@@ -213,12 +213,9 @@ fn builder_matches_oracle_on_mixed_systems() {
     assert!(largest > 1_000, "the k = 10 shapes grow large schedules");
 }
 
-/// Two nodes with the same ECS fire `t` into the same marking, but one
-/// target is an await node and the other continues into another ECS: no
-/// state place can tell the switch arms apart, so the build fails with
-/// the oracle's exact `AmbiguousState` message.
-#[test]
-fn indistinguishable_switch_arms_are_ambiguous() {
+/// The net of the ambiguity fixtures: `a` (the source) marks `p`, `t`
+/// moves the token to `q`, and `u` consumes it.
+fn ambiguity_net() -> (PetriNet, [TransitionId; 3]) {
     let mut bl = NetBuilder::new("ambiguous");
     let p = bl.place("p", 0);
     let q = bl.place("q", 0);
@@ -230,15 +227,37 @@ fn indistinguishable_switch_arms_are_ambiguous() {
     bl.arc_t2p(t, q, 1);
     bl.arc_p2t(q, u, 1);
     let net = bl.build().unwrap();
-    let (a, t, u) = (
-        net.transition_by_name("a").unwrap(),
-        net.transition_by_name("t").unwrap(),
-        net.transition_by_name("u").unwrap(),
-    );
-    let node = |counts: [u32; 2], edges: Vec<(TransitionId, u32)>| ScheduleNode {
+    let [a, t, u] = ["a", "t", "u"].map(|name| net.transition_by_name(name).unwrap());
+    (net, [a, t, u])
+}
+
+/// A schedule node over the `[p, q]` marking of [`ambiguity_net`].
+fn ambiguity_node(counts: [u32; 2], edges: Vec<(TransitionId, u32)>) -> ScheduleNode {
+    ScheduleNode {
         marking: Marking::from_counts(counts),
         edges: edges.into_iter().map(|(t, n)| (t, NodeId(n))).collect(),
-    };
+    }
+}
+
+/// Builds `schedule` on [`ambiguity_net`], checks it against the oracle
+/// and returns the `AmbiguousState` message.
+fn ambiguous_state_message(net: &PetriNet, schedule: &Schedule) -> String {
+    let built = SegmentGraph::build(schedule, net);
+    assert_eq!(built, oracle(schedule, net));
+    match built {
+        Err(CodegenError::AmbiguousState(message)) => message,
+        other => panic!("expected AmbiguousState, got {other:?}"),
+    }
+}
+
+/// Two nodes with the same ECS fire `t` into the same marking, but one
+/// target is an await node and the other continues into another ECS: no
+/// state place can tell the switch arms apart, so the build fails with
+/// the oracle's exact `AmbiguousState` message.
+#[test]
+fn indistinguishable_switch_arms_are_ambiguous() {
+    let (net, [a, t, u]) = ambiguity_net();
+    let node = ambiguity_node;
     let schedule = Schedule::from_parts(
         a,
         vec![
@@ -251,15 +270,38 @@ fn indistinguishable_switch_arms_are_ambiguous() {
             node([0, 1], vec![(u, 0)]),
         ],
     );
-    let built = SegmentGraph::build(&schedule, &net);
-    assert_eq!(built, oracle(&schedule, &net));
-    match built {
-        Err(CodegenError::AmbiguousState(message)) => assert_eq!(
-            message,
-            "segment `cs_a` cannot distinguish markings p1 and p1"
-        ),
-        other => panic!("expected AmbiguousState, got {other:?}"),
-    }
+    assert_eq!(
+        ambiguous_state_message(&net, &schedule),
+        "segment `cs_a` cannot distinguish markings p1 and p1"
+    );
+}
+
+/// The `t` switch has two ambiguous groups: `[0, 1]` and `[0, 2]` each
+/// end at an await node and also continue into `u`. The error names the
+/// first ambiguous pair in arm order, the `[0, 1]` group, as the oracle's
+/// pairwise scan does.
+#[test]
+fn the_first_of_two_ambiguous_groups_is_reported() {
+    let (net, [a, t, u]) = ambiguity_net();
+    let node = ambiguity_node;
+    let schedule = Schedule::from_parts(
+        a,
+        vec![
+            node([0, 0], vec![(a, 1)]),
+            node([1, 0], vec![(t, 2)]),
+            node([0, 1], vec![(a, 3)]),
+            node([1, 1], vec![(t, 4)]),
+            node([0, 1], vec![(u, 5)]),
+            node([2, 0], vec![(t, 6)]),
+            node([0, 2], vec![(a, 7)]),
+            node([1, 2], vec![(t, 8)]),
+            node([0, 2], vec![(u, 0)]),
+        ],
+    );
+    assert_eq!(
+        ambiguous_state_message(&net, &schedule),
+        "segment `cs_t` cannot distinguish markings p1 and p1"
+    );
 }
 
 struct GraphBuilder<'a> {

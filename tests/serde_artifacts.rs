@@ -108,7 +108,6 @@ fn pipeline_config_round_trips() {
     let config = PipelineConfig {
         profile: CostProfile::Optimized2,
         multitask_buffer_size: 17,
-        parallel_schedule: true,
         schedule: ScheduleOptions::with_place_bounds(9),
         ..PipelineConfig::default()
     };
@@ -138,6 +137,17 @@ fn pipeline_config_parsing_is_lenient_and_canonicalizing() {
         serde_json::to_string(&empty).unwrap(),
         serde_json::to_string(&reparsed).unwrap()
     );
+    // Unknown keys are ignored: configs carrying the removed thread
+    // fan-out switch or code-sharing flag parse to the default and
+    // serialize to its bytes, so such requests still coalesce with new
+    // ones.
+    let removed_keys: PipelineConfig = serde_json::from_str(
+        "{\"parallel_schedule\": true, \"task\": \
+         {\"share_code_segments\": false, \"inline_communication\": true}}",
+    )
+    .unwrap();
+    assert_eq!(removed_keys, PipelineConfig::default());
+    assert_eq!(serde_json::to_string(&removed_keys).unwrap(), spelled_out);
     // Leniency covers absence, not invalid input.
     assert!(serde_json::from_str::<PipelineConfig>("{\"profile\": 9}").is_err());
     assert!(serde_json::from_str::<PipelineConfig>("5").is_err());
@@ -199,6 +209,30 @@ fn task_and_sim_artifacts_round_trip() {
     assert_eq!(back.single, sim.single);
     assert_eq!(back.events, sim.events);
     assert!(back.outputs_match);
+}
+
+/// `qssc build --emit json` output for a one-process echo system, archived
+/// while the config still carried the thread fan-out switch (set) and the
+/// code-sharing flag.
+const ARCHIVED_TASK: &str = include_str!("fixtures/echo_system.archived.pipeline.json");
+
+#[test]
+fn archived_task_artifact_with_removed_config_keys_still_parses() {
+    let task = TaskArtifact::from_json(ARCHIVED_TASK).unwrap();
+    assert_eq!(task.config, PipelineConfig::default());
+    assert_eq!(task.tasks.len(), 1);
+    // Re-serializing drops exactly the two removed keys' lines.
+    let expected: String = ARCHIVED_TASK
+        .lines()
+        .filter(|line| {
+            !line.contains("\"parallel_schedule\"") && !line.contains("\"share_code_segments\"")
+        })
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(task.to_json_pretty(), expected.trim_end());
+    // And the artifact continues through simulation.
+    let events = [3i64, 4].map(|v| EnvEvent::new("echo", "a", v));
+    assert!(task.simulate(&events).unwrap().outputs_match);
 }
 
 #[test]
