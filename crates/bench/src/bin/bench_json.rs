@@ -23,6 +23,12 @@
 //! reference column (`null`): the oracle takes seconds per search there.
 //! The top-level `divider_chain_depth` record gives their best time per
 //! schedule node and its growth from the shallow to the deep chain.
+//! The `serde/artifact_json/*` cases serialize the task artifact of two
+//! `compile_mixed`-shaped systems, one about four times the other:
+//! streamed through `write_json` against the `to_value` tree rendered
+//! through the same writer (the reference column). The top-level
+//! `artifact_json` record gives both paths' best nanoseconds per output
+//! byte and the streamed path's growth from the small to the large one.
 //!
 //! Run with `cargo run -p qss_bench --release --bin bench_json`.
 //! Set `QSS_BENCH_FAST=1` for a quick smoke run with fewer samples.
@@ -30,7 +36,8 @@
 use proptest::{Strategy, TestRng};
 use qss_bench::experiments::divider_net;
 use qss_bench::testgen::{
-    ballast_source, build_random, divider_chain_source, hub_net_strategy, over_degree_chain_source,
+    ballast_source, build_random, divider_chain_source, hub_net_strategy, mixed_source,
+    over_degree_chain_source,
 };
 use qss_core::{
     reference, Schedule, ScheduleOptions, SearchBudget, SearchContext, SearchProfile,
@@ -142,6 +149,10 @@ const CHAIN_RATES: [u32; 2] = [2_000, 8_000];
 
 /// Node cap of the over-degree stress case.
 const OVER_DEGREE_NODES: usize = 20_000;
+
+/// Tail rates of the artifact-JSON pair: mixed systems with one branch,
+/// select rates (2, 1) and divider rate 2 (`b1 r4 d2` and `b1 r5 d2`).
+const JSON_TAIL_RATES: [u32; 2] = [4, 5];
 
 /// The linked system of a FlowC `source`.
 fn linked_system(source: &str) -> qss_flowc::LinkedSystem {
@@ -277,6 +288,31 @@ fn main() {
                 .expect_err("the node cap ends the search");
             }),
             None,
+        );
+    }
+
+    // Artifact JSON: output bytes grow with schedule nodes × places, so if
+    // the time per byte grew between the two systems, some step of the
+    // writer would be super-linear.
+    let mut json_bytes = Vec::new();
+    for tail in JSON_TAIL_RATES {
+        let source = mixed_source("mixed", 1, &[(2, 1)], tail, 2, 7);
+        let task = qss::Pipeline::from_source(&source)
+            .and_then(|pipeline| pipeline.link())
+            .and_then(|linked| linked.schedule())
+            .and_then(|schedule| schedule.generate())
+            .expect("the mixed system builds");
+        json_bytes.push(task.to_json().len());
+        let tree_task = task.clone();
+        push_case(
+            format!("serde/artifact_json/b1_r{tail}_d2"),
+            Box::new(move || {
+                black_box(task.to_json());
+            }),
+            Some(Box::new(move || {
+                let tree = serde_json::to_value(&tree_task).expect("infallible");
+                black_box(serde_json::to_string(&tree).expect("infallible"));
+            })),
         );
     }
 
@@ -661,7 +697,7 @@ fn main() {
         .collect();
     let _ = writeln!(
         json,
-        "  \"divider_chain_depth\": {{\"rates\": [{}, {}], \"schedule_nodes\": [{}, {}], \"best_us_per_node\": [{:.4}, {:.4}], \"per_node_growth\": {:.2}}}",
+        "  \"divider_chain_depth\": {{\"rates\": [{}, {}], \"schedule_nodes\": [{}, {}], \"best_us_per_node\": [{:.4}, {:.4}], \"per_node_growth\": {:.2}}},",
         CHAIN_RATES[0],
         CHAIN_RATES[1],
         chain_nodes[0],
@@ -669,6 +705,33 @@ fn main() {
         per_node_us[0],
         per_node_us[1],
         per_node_us[1] / per_node_us[0]
+    );
+    // Best nanoseconds per output byte of the artifact-JSON pair, streamed
+    // and through the tree, and the streamed path's growth.
+    let mut streamed_ns = Vec::new();
+    let mut tree_ns = Vec::new();
+    for (tail, &bytes) in JSON_TAIL_RATES.iter().zip(&json_bytes) {
+        let name = format!("serde/artifact_json/b1_r{tail}_d2");
+        let case = cases
+            .iter()
+            .find(|case| case.name == name)
+            .expect("artifact JSON case");
+        let (tree_best, _) = case.reference.expect("tree column");
+        streamed_ns.push(case.best_ms * 1e6 / bytes as f64);
+        tree_ns.push(tree_best * 1e6 / bytes as f64);
+    }
+    let _ = writeln!(
+        json,
+        "  \"artifact_json\": {{\"shapes\": [\"b1 r{} d2\", \"b1 r{} d2\"], \"bytes\": [{}, {}], \"streamed_ns_per_byte\": [{:.3}, {:.3}], \"tree_ns_per_byte\": [{:.3}, {:.3}], \"per_byte_growth\": {:.2}}}",
+        JSON_TAIL_RATES[0],
+        JSON_TAIL_RATES[1],
+        json_bytes[0],
+        json_bytes[1],
+        streamed_ns[0],
+        streamed_ns[1],
+        tree_ns[0],
+        tree_ns[1],
+        streamed_ns[1] / streamed_ns[0]
     );
     json.push_str("}\n");
 

@@ -403,8 +403,12 @@ impl<'a> GraphBuilder<'a> {
                     let mut seen: FxHashSet<(MarkingId, Option<usize>)> = FxHashSet::default();
                     let mut arms: Vec<(Marking, Box<Continuation>)> = Vec::new();
                     for &(next, marking) in &self.outcomes[slot] {
-                        let goto =
-                            (next != AWAIT).then(|| segment_of_key[next as usize].unwrap_or(0));
+                        let goto = (next != AWAIT).then(|| {
+                            segment_of_key[next as usize].expect(
+                                "every switch target is a segment root: `root_keys` \
+                                 never inlines a key entered through a switch",
+                            )
+                        });
                         if seen.insert((marking, goto)) {
                             let continuation =
                                 goto.map_or(Continuation::Return, Continuation::Goto);
@@ -454,13 +458,15 @@ impl<'a> GraphBuilder<'a> {
     /// State places: every place whose value differs between two switch
     /// arms with different targets. Such places are necessarily updated by
     /// the involved transitions, so this matches the paper's intersection
-    /// of "updated" and "needed for conditions". A place qualifies exactly
-    /// when its switch has two distinct targets and the place takes two
-    /// distinct values among the arms (if two arms with different values
-    /// share a target, a third arm with another target differs from one of
-    /// them). Then every switch is checked: arms grouped by their
-    /// state-place projection must share the target of the group's first
-    /// arm, else the lexicographically first ambiguous pair is reported.
+    /// of "updated" and "needed for conditions". Every switch has two
+    /// distinct targets (it exists only where a transition's outcomes
+    /// diverge, and every target is a segment root of its own), so a place
+    /// qualifies exactly when it takes two distinct values among a
+    /// switch's arms (if two arms with different values share a target, a
+    /// third arm with another target differs from one of them). Then every
+    /// switch is checked: arms grouped by their state-place projection
+    /// must share the target of the group's first arm, else the
+    /// lexicographically first ambiguous pair is reported.
     fn state_places(&self, segments: &[CodeSegment]) -> Result<Vec<PlaceId>> {
         let mut switches = Vec::new();
         for segment in segments {
@@ -472,13 +478,11 @@ impl<'a> GraphBuilder<'a> {
         }
         let mut needed = vec![false; self.net.num_places()];
         for (_, arms) in &switches {
-            let Some(((first, target), _)) = arms.split_first() else {
+            let Some(((first, _), _)) = arms.split_first() else {
                 continue;
             };
-            if arms.iter().any(|(_, t)| t != target) {
-                for p in self.net.place_ids() {
-                    needed[p.index()] |= arms.iter().any(|(m, _)| m.tokens(p) != first.tokens(p));
-                }
+            for p in self.net.place_ids() {
+                needed[p.index()] |= arms.iter().any(|(m, _)| m.tokens(p) != first.tokens(p));
             }
         }
         let state: Vec<PlaceId> = self.net.place_ids().filter(|p| needed[p.index()]).collect();

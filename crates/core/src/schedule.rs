@@ -103,6 +103,26 @@ impl Serialize for Schedule {
             ("nodes".to_owned(), serde::Value::Array(nodes)),
         ])
     }
+
+    /// Streams each node's row straight from the marking store, with no
+    /// owned marking or edge list per node.
+    fn write_json(&self, w: &mut serde::JsonWriter) {
+        w.begin_object();
+        w.field("source", &self.source);
+        w.key("nodes");
+        w.begin_array();
+        for slot in &self.slots {
+            w.begin_object();
+            w.key("marking");
+            w.begin_object();
+            w.field("counts", self.store.resolve(slot.marking));
+            w.end_object();
+            w.field("edges", &slot.edges);
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+    }
 }
 
 impl<'de> Deserialize<'de> for Schedule {

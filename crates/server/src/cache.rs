@@ -29,7 +29,6 @@ use crate::util::lock;
 use qss::remote::CacheStats;
 use qss::SearchContext;
 use qss_obs::{Counter, Observer};
-use serde_json::Value;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
@@ -208,10 +207,11 @@ impl ContextCache {
     }
 }
 
-/// Bounded LRU cache of serialized `AnalysisReport`s, keyed by
-/// `(fingerprint, ordered_digest)`. It always holds at least one entry.
+/// Bounded LRU cache of `AnalysisReport`s serialized as compact JSON,
+/// keyed by `(fingerprint, ordered_digest)`. It always holds at least one
+/// entry.
 pub(crate) struct ReportCache {
-    lru: Lru<(u64, u64), Value>,
+    lru: Lru<(u64, u64), String>,
 }
 
 impl ReportCache {
@@ -228,11 +228,11 @@ impl ReportCache {
         observer.adopt_counter("report_cache.evictions", &self.lru.evictions);
     }
 
-    pub(crate) fn get(&self, fingerprint: u64, digest: u64) -> Option<Value> {
+    pub(crate) fn get(&self, fingerprint: u64, digest: u64) -> Option<String> {
         self.lru.get((fingerprint, digest), |_| true)
     }
 
-    pub(crate) fn insert(&self, fingerprint: u64, digest: u64, report: Value) {
+    pub(crate) fn insert(&self, fingerprint: u64, digest: u64, report: String) {
         self.lru.insert((fingerprint, digest), report, |_| true);
     }
 }
@@ -325,8 +325,8 @@ mod tests {
         assert_eq!(cache.stats().misses, 2);
     }
 
-    fn entry(n: u64) -> Value {
-        Value::String(format!("report-{n}"))
+    fn entry(n: u64) -> String {
+        format!("report-{n}")
     }
 
     #[test]

@@ -71,9 +71,9 @@ use crate::poll::PollFd;
 use crate::pool::{JobQueue, SubmitError};
 use crate::service::{Engine, Reply};
 use crate::util::lock;
-use qss::remote::{response_error, response_ok, DEFAULT_MAX_LINE_BYTES};
+use qss::remote::{response_error, response_ok_json, DEFAULT_MAX_LINE_BYTES};
 use qss_obs::{Observer, SpanId};
-use serde_json::{Number, Value};
+use serde_json::JsonWriter;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -166,11 +166,11 @@ struct Job {
 }
 
 /// One finished response traveling from a worker back to
-/// the event loop.
+/// the event loop: the `result` already serialized by the worker.
 struct Completion {
     conn: u64,
     seq: u64,
-    result: Result<Value, WireError>,
+    result: Result<String, WireError>,
 }
 
 /// Everything the event loop and the workers share.
@@ -190,7 +190,7 @@ impl ServerState {
     /// Posts a finished response and wakes the event loop. Safe to call
     /// more than once for the same `(conn, seq)` — the event loop drops
     /// completions for sequences it has already answered.
-    fn post(&self, conn: u64, seq: u64, result: Result<Value, WireError>) {
+    fn post(&self, conn: u64, seq: u64, result: Result<String, WireError>) {
         lock(&self.completions).push(Completion { conn, seq, result });
         // A full pipe buffer means wake-ups are already pending.
         let _ = (&self.wake).write(&[1u8]);
@@ -923,16 +923,16 @@ fn handle_line(state: &ServerState, conn: &mut Conn, raw: &[u8], draining: bool)
         // Control requests bypass the queue: they must answer promptly
         // even when the workers are saturated.
         RequestKind::Stats => {
-            complete(state, conn, seq, id, meta, Ok(stats_value(state)));
+            complete(state, conn, seq, id, meta, Ok(stats_json(state)));
         }
         RequestKind::Metrics => {
-            complete(state, conn, seq, id, meta, Ok(metrics_value(state)));
+            complete(state, conn, seq, id, meta, Ok(metrics_json(state)));
         }
         RequestKind::Shutdown => {
             // Acknowledge, then drain: the ack is queued (held for v1
             // ordering if needed) and the drain guarantees it — like
             // every outstanding response — still reaches the wire.
-            let ack = Value::Object(vec![("stopping".to_string(), Value::Bool(true))]);
+            let ack = "{\"stopping\":true}".to_string();
             complete(state, conn, seq, id, meta, Ok(ack));
             begin_drain = true;
         }
@@ -989,19 +989,20 @@ fn handle_line(state: &ServerState, conn: &mut Conn, raw: &[u8], draining: bool)
 fn switch_to_v2(conn: &mut Conn) {
     conn.version = 2;
     for (_, held) in std::mem::take(&mut conn.held) {
-        push_response(conn, &held.text);
+        push_response(conn, held.text);
     }
 }
 
-/// Finishes sequence `seq` with `result`: formats the response line and
-/// either writes it now (v2) or releases it in order (v1).
+/// Finishes sequence `seq` with `result`: splices the serialized result
+/// into the response line and either writes it now (v2) or releases it
+/// in order (v1).
 fn complete(
     state: &ServerState,
     conn: &mut Conn,
     seq: u64,
     id: Option<u64>,
     meta: RespMeta,
-    result: Result<Value, WireError>,
+    result: Result<String, WireError>,
 ) {
     let observer = &state.engine.observer;
     state.engine.counters.responses.inc();
@@ -1013,18 +1014,18 @@ fn complete(
     }
     let respond = observer.span_begin("respond", meta.span, "loop");
     let text = match result {
-        Ok(value) => response_ok(id, value),
+        Ok(result) => response_ok_json(id, &result),
         Err(error) => respond_error(state, id, error),
     };
     if conn.version >= 2 {
-        push_response(conn, &text);
+        push_response(conn, text);
     } else {
         if seq != conn.next_release {
             state.engine.counters.held_responses.inc();
         }
         conn.held.insert(seq, HeldResponse { text });
         while let Some(held) = conn.held.remove(&conn.next_release) {
-            push_response(conn, &held.text);
+            push_response(conn, held.text);
             conn.next_release += 1;
         }
     }
@@ -1034,14 +1035,17 @@ fn complete(
     }
 }
 
-/// Appends one response line to the connection's outbound buffer.
-fn push_response(conn: &mut Conn, text: &str) {
-    if !conn.has_unwritten() {
-        conn.write_buf.clear();
+/// Appends one response line to the connection's outbound buffer. An
+/// idle buffer takes the line's own allocation instead of a copy of it:
+/// a response can be tens of megabytes.
+fn push_response(conn: &mut Conn, text: String) {
+    if conn.has_unwritten() {
+        conn.write_buf.extend_from_slice(text.as_bytes());
+    } else {
+        conn.write_buf = text.into_bytes();
         conn.write_pos = 0;
         conn.last_write_progress = Instant::now();
     }
-    conn.write_buf.extend_from_slice(text.as_bytes());
     conn.write_buf.push(b'\n');
 }
 
@@ -1086,8 +1090,8 @@ fn respond_error(state: &ServerState, id: Option<u64>, error: WireError) -> Stri
     response_error(id, &error)
 }
 
-/// The `stats` payload.
-fn stats_value(state: &ServerState) -> Value {
+/// The `stats` payload as JSON text.
+fn stats_json(state: &ServerState) -> String {
     let counters = &state.engine.counters;
     let stats = ServerStats {
         requests: counters.requests.get(),
@@ -1101,53 +1105,39 @@ fn stats_value(state: &ServerState) -> Value {
         queue_capacity: state.config.queue_capacity as u64,
         cache: state.engine.cache.stats(),
     };
-    serde_json::to_value(&stats).expect("stats serialization is infallible")
+    serde_json::to_string(&stats).expect("stats serialization is infallible")
 }
 
-/// The `metrics` payload: a full snapshot of the observability registry —
-/// every counter the server maintains plus quantile summaries of every
-/// latency histogram — serialized deterministically (names sorted).
-fn metrics_value(state: &ServerState) -> Value {
+/// The `metrics` payload as JSON text: a full snapshot of the
+/// observability registry — every counter the server maintains plus
+/// quantile summaries of every latency histogram — serialized
+/// deterministically (names sorted).
+fn metrics_json(state: &ServerState) -> String {
     let snapshot = state.engine.observer.snapshot();
-    let counters = snapshot
-        .counters
-        .into_iter()
-        .map(|(name, value)| (name, Value::Number(Number::UInt(value))))
-        .collect();
-    let histograms = snapshot
-        .histograms
-        .into_iter()
-        .map(|(name, hist)| {
-            let summary = Value::Object(vec![
-                ("count".to_string(), Value::Number(Number::UInt(hist.count))),
-                ("min".to_string(), Value::Number(Number::UInt(hist.min))),
-                ("max".to_string(), Value::Number(Number::UInt(hist.max))),
-                (
-                    "mean".to_string(),
-                    Value::Number(Number::Float(hist.mean())),
-                ),
-                (
-                    "p50".to_string(),
-                    Value::Number(Number::UInt(hist.quantile(0.50))),
-                ),
-                (
-                    "p95".to_string(),
-                    Value::Number(Number::UInt(hist.quantile(0.95))),
-                ),
-                (
-                    "p99".to_string(),
-                    Value::Number(Number::UInt(hist.quantile(0.99))),
-                ),
-            ]);
-            (name, summary)
-        })
-        .collect();
-    Value::Object(vec![
-        ("counters".to_string(), Value::Object(counters)),
-        ("histograms".to_string(), Value::Object(histograms)),
-        (
-            "journal_dropped".to_string(),
-            Value::Number(Number::UInt(state.engine.observer.journal_dropped())),
-        ),
-    ])
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    w.key("counters");
+    w.begin_object();
+    for (name, value) in &snapshot.counters {
+        w.field(name, value);
+    }
+    w.end_object();
+    w.key("histograms");
+    w.begin_object();
+    for (name, hist) in &snapshot.histograms {
+        w.key(name);
+        w.begin_object();
+        w.field("count", &hist.count);
+        w.field("min", &hist.min);
+        w.field("max", &hist.max);
+        w.field("mean", &hist.mean());
+        w.field("p50", &hist.quantile(0.50));
+        w.field("p95", &hist.quantile(0.95));
+        w.field("p99", &hist.quantile(0.99));
+        w.end_object();
+    }
+    w.end_object();
+    w.field("journal_dropped", &state.engine.observer.journal_dropped());
+    w.end_object();
+    w.into_string()
 }

@@ -10,24 +10,32 @@
 //! park a continuation on the leader's flight and hold no thread while
 //! they wait. The pool runs twice as many workers as there are slots, so
 //! searches never occupy more than half of it; the leader's response
-//! assembly after its search (generate, simulate) holds no slot. The reply
-//! callback posts the finished response back to the connection core's
-//! event loop.
+//! assembly after its search (generate, simulate) holds no slot.
+//!
+//! Replies are serialized here, on the workers, not on the event loop:
+//! a worker streams the `result` object (fingerprint, `cached`, the
+//! artifact, and for `simulate` with `include_task` the task) straight
+//! into one JSON string, and the reply callback posts that text back to
+//! the connection core, whose event loop only splices it into the
+//! response line. A large artifact therefore never stalls the loop, and
+//! no `Value` tree of it is ever built.
 
 use crate::cache::{ContextCache, ReportCache};
 use crate::coalesce::{InFlightTable, SearchKey, SearchOutcome, SharedSearch, Ticket};
 use qss::remote::{fingerprint_hex, CheckSummary, ErrorKind, Request, RequestKind, WireError};
-use qss::{LinkedArtifact, Pipeline, QssError, SearchContext, SystemSchedules};
+use qss::{LinkedArtifact, Pipeline, QssError, SearchContext, SystemSchedules, TaskArtifact};
 use qss_obs::{Counter, Observer, SpanId};
-use serde_json::Value;
+use serde::Serialize;
+use serde_json::JsonWriter;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How a finished response travels back to the connection core. Called
-/// exactly once, from the worker that admitted the request or (for
-/// coalesced followers) from the leader's worker.
-pub(crate) type Reply = Box<dyn FnOnce(Result<Value, WireError>) + Send>;
+/// How a finished response travels back to the connection core: the
+/// `result` as compact JSON text, or the error. Called exactly once, from
+/// the worker that admitted the request or (for coalesced followers)
+/// from the leader's worker.
+pub(crate) type Reply = Box<dyn FnOnce(Result<String, WireError>) + Send>;
 
 /// The protocol-visible counters (cache counters live in the caches).
 ///
@@ -197,19 +205,27 @@ impl Engine {
                     uncontrollable_inputs: analysis.num_uncontrollable_sources as u64,
                     choice_places: analysis.num_choice_places as u64,
                 };
-                reply(Ok(to_value(&summary)));
+                reply(Ok(
+                    serde_json::to_string(&summary).expect("summary serialization is infallible")
+                ));
             }
             RequestKind::Analyze => {
                 let digest = linked.ordered_digest();
-                if let Some(report) = self.reports.get(fingerprint, digest) {
-                    return reply(Ok(artifact_result(fingerprint, Some(true), report)));
-                }
-                let report = to_value(&linked.analyze());
-                self.reports.insert(fingerprint, digest, report.clone());
-                reply(Ok(artifact_result(fingerprint, Some(false), report)));
+                let (report, cached) = match self.reports.get(fingerprint, digest) {
+                    Some(report) => (report, true),
+                    None => {
+                        let report = serde_json::to_string(&linked.analyze())
+                            .expect("report serialization is infallible");
+                        self.reports.insert(fingerprint, digest, report.clone());
+                        (report, false)
+                    }
+                };
+                reply(Ok(result_json(fingerprint, Some(cached), |w| {
+                    w.raw(&report)
+                })));
             }
             RequestKind::Link => {
-                reply(Ok(artifact_result(fingerprint, None, to_value(&linked))));
+                reply(Ok(artifact_result(fingerprint, None, &linked, None)));
             }
             RequestKind::Schedule | RequestKind::Generate | RequestKind::Simulate => {
                 self.scheduled(linked, request, deadline, span, reply);
@@ -309,7 +325,7 @@ fn finish(
     linked: LinkedArtifact,
     request: &Request,
     outcome: SearchOutcome,
-) -> Result<Value, WireError> {
+) -> Result<String, WireError> {
     let shared = outcome?;
     let fingerprint = linked.fingerprint();
     let cache_hit = shared.cache_hit;
@@ -319,29 +335,21 @@ fn finish(
         RequestKind::Schedule => Ok(artifact_result(
             fingerprint,
             Some(cache_hit),
-            to_value(&artifact),
+            &artifact,
+            None,
         )),
         RequestKind::Generate => {
             let task = artifact.generate().map_err(WireError::from)?;
-            Ok(artifact_result(
-                fingerprint,
-                Some(cache_hit),
-                to_value(&task),
-            ))
+            Ok(artifact_result(fingerprint, Some(cache_hit), &task, None))
         }
         RequestKind::Simulate => {
             let task = artifact.generate().map_err(WireError::from)?;
             let sim = task.simulate(&request.events).map_err(WireError::from)?;
-            let mut result = artifact_result(fingerprint, Some(cache_hit), to_value(&sim));
-            if request.include_task {
-                // Embed the stage-3 artifact so `build --events` callers
-                // need one request, not a second full pipeline run for
-                // `generate`.
-                if let Value::Object(pairs) = &mut result {
-                    pairs.push(("task".to_string(), to_value(&task)));
-                }
-            }
-            Ok(result)
+            // Embed the stage-3 artifact on request, so `build --events`
+            // callers need one request, not a second full pipeline run
+            // for `generate`.
+            let task = request.include_task.then_some(&task);
+            Ok(artifact_result(fingerprint, Some(cache_hit), &sim, task))
         }
         _ => Err(WireError::new(
             ErrorKind::Internal,
@@ -366,21 +374,39 @@ fn run_search(
         .map_err(|e| WireError::from(QssError::from(e)))
 }
 
-/// `{"fingerprint": ..., ["cached": ...,] "artifact": ...}`.
-fn artifact_result(fingerprint: u64, cached: Option<bool>, artifact: Value) -> Value {
-    let mut pairs = vec![(
-        "fingerprint".to_string(),
-        Value::String(fingerprint_hex(fingerprint)),
-    )];
-    if let Some(cached) = cached {
-        pairs.push(("cached".to_string(), Value::Bool(cached)));
-    }
-    pairs.push(("artifact".to_string(), artifact));
-    Value::Object(pairs)
+/// `{"fingerprint": ..., ["cached": ...,] "artifact": ...[, "task": ...]}`
+/// as compact JSON text, streamed from the typed artifacts.
+fn artifact_result<T: Serialize>(
+    fingerprint: u64,
+    cached: Option<bool>,
+    artifact: &T,
+    task: Option<&TaskArtifact>,
+) -> String {
+    result_json(fingerprint, cached, |w| {
+        artifact.write_json(w);
+        if let Some(task) = task {
+            w.field("task", task);
+        }
+    })
 }
 
-fn to_value<T: serde::Serialize>(value: &T) -> Value {
-    serde_json::to_value(value).expect("artifact serialization is infallible")
+/// The `result` object around an artifact: `write_artifact` writes the
+/// `artifact` value and any members after it.
+fn result_json(
+    fingerprint: u64,
+    cached: Option<bool>,
+    write_artifact: impl FnOnce(&mut JsonWriter),
+) -> String {
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    w.field("fingerprint", &fingerprint_hex(fingerprint));
+    if let Some(cached) = cached {
+        w.field("cached", &cached);
+    }
+    w.key("artifact");
+    write_artifact(&mut w);
+    w.end_object();
+    w.into_string()
 }
 
 #[cfg(test)]

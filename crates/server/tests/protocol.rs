@@ -353,3 +353,34 @@ fn shutdown_rejects_new_work_while_draining() {
     }
     server.join().unwrap();
 }
+
+/// One v2 `schedule` and one v2 `generate` response line for
+/// `samples/pipeline.flowc`, pinned byte for byte before workers began
+/// writing the `result` text themselves. The second request reuses the
+/// first one's context, so it answers `"cached": true`.
+#[test]
+fn v2_schedule_and_generate_response_lines_match_the_pinned_fixtures() {
+    const PIPELINE: &str = include_str!("../../../samples/pipeline.flowc");
+    let server = Server::bind(ServerConfig::default())
+        .expect("bind ephemeral port")
+        .spawn();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let source = serde_json::to_string(PIPELINE).unwrap();
+    let expected = [
+        (
+            "schedule",
+            include_str!("../../../tests/fixtures/pipeline.v2_schedule.response.json"),
+        ),
+        (
+            "generate",
+            include_str!("../../../tests/fixtures/pipeline.v2_generate.response.json"),
+        ),
+    ];
+    for (kind, fixture) in expected {
+        let line =
+            format!("{{\"version\": 2, \"id\": 7, \"kind\": \"{kind}\", \"source\": {source}}}");
+        let response = client.raw_line(&line).expect("server must answer");
+        assert_eq!(response, fixture, "`{kind}` response line");
+    }
+    server.shutdown_and_join().unwrap();
+}

@@ -1,7 +1,7 @@
 //! `Serialize`/`Deserialize` implementations for std types.
 
 use crate::value::{Number, Value};
-use crate::{Deserialize, DeserializeOwned, Error, Serialize};
+use crate::{Deserialize, DeserializeOwned, Error, JsonWriter, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 
@@ -12,10 +12,13 @@ fn expected(what: &str, got: &Value) -> Error {
 // ---------------------------------------------------------------- numbers
 
 macro_rules! int_impl {
-    ($ty:ty, via $via:ty, $as:ident) => {
+    ($ty:ty, via $via:ident, $as:ident) => {
         impl Serialize for $ty {
             fn to_value(&self) -> Value {
                 Value::Number(Number::from(*self as $via))
+            }
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.$via(*self as $via);
             }
         }
         impl<'de> Deserialize<'de> for $ty {
@@ -49,6 +52,9 @@ impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Number(Number::from(*self))
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.f64(*self);
+    }
 }
 
 impl<'de> Deserialize<'de> for f64 {
@@ -60,6 +66,9 @@ impl<'de> Deserialize<'de> for f64 {
 impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::Number(Number::from(f64::from(*self)))
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.f64(f64::from(*self));
     }
 }
 
@@ -78,6 +87,9 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.bool(*self);
+    }
 }
 
 impl<'de> Deserialize<'de> for bool {
@@ -89,6 +101,9 @@ impl<'de> Deserialize<'de> for bool {
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
     }
 }
 
@@ -104,6 +119,9 @@ impl<'de> Deserialize<'de> for String {
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_owned())
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
     }
 }
 
@@ -137,6 +155,12 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Some(v) => v.write_json(w),
+            None => w.null(),
+        }
+    }
 }
 
 impl<'de, T: DeserializeOwned> Deserialize<'de> for Option<T> {
@@ -151,7 +175,10 @@ impl<'de, T: DeserializeOwned> Deserialize<'de> for Option<T> {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+        self.as_slice().to_value()
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
     }
 }
 
@@ -170,11 +197,25 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(w, self);
+    }
+}
+
+fn write_seq<'a, T: Serialize + 'a>(w: &mut JsonWriter, items: impl IntoIterator<Item = &'a T>) {
+    w.begin_array();
+    for item in items {
+        item.write_json(w);
+    }
+    w.end_array();
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
     }
 }
 
@@ -188,11 +229,17 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
+    }
 }
 
 impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(w, self);
     }
 }
 
@@ -236,6 +283,28 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
             )
         }
     }
+
+    /// Streams the values; only the keys go through [`Value`]s, to pick
+    /// the encoding before the first byte is written.
+    fn write_json(&self, w: &mut JsonWriter) {
+        let keys: Vec<Value> = self.keys().map(Serialize::to_value).collect();
+        if keys.iter().all(|k| matches!(k, Value::String(_))) {
+            w.begin_object();
+            for (key, value) in keys.iter().zip(self.values()) {
+                w.field(key.as_str().expect("checked above"), value);
+            }
+            w.end_object();
+        } else {
+            w.begin_array();
+            for (key, value) in keys.iter().zip(self.values()) {
+                w.begin_array();
+                w.value(key);
+                value.write_json(w);
+                w.end_array();
+            }
+            w.end_array();
+        }
+    }
 }
 
 impl<'de, K: DeserializeOwned + Ord, V: DeserializeOwned> Deserialize<'de> for BTreeMap<K, V> {
@@ -274,6 +343,9 @@ impl Serialize for () {
     fn to_value(&self) -> Value {
         Value::Null
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.null();
+    }
 }
 
 impl<'de> Deserialize<'de> for () {
@@ -291,6 +363,11 @@ macro_rules! tuple_impl {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$idx.to_value()),+])
+            }
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.begin_array();
+                $(self.$idx.write_json(w);)+
+                w.end_array();
             }
         }
         impl<'de, $($name: DeserializeOwned),+> Deserialize<'de> for ($($name,)+) {
@@ -319,6 +396,9 @@ tuple_impl!(4 => (0, A), (1, B), (2, C), (3, D));
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value(self);
     }
 }
 

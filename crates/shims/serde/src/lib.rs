@@ -3,14 +3,21 @@
 //! Earlier revisions of this shim were empty marker traits — the workspace
 //! only *derived* `Serialize`/`Deserialize` and never serialized anything.
 //! The `qss` pipeline API now emits every stage artifact as JSON, so the
-//! shim grew into a working mini-serde built around a JSON [`Value`] tree:
+//! shim grew into a working mini-serde with two serialization paths:
 //!
-//! * [`Serialize`] converts a value into a [`Value`],
-//! * [`Deserialize`] rebuilds a value from a [`Value`],
-//! * the companion `serde_derive` shim generates both impls for structs
-//!   and enums (externally tagged, like real serde's default),
-//! * the companion `serde_json` shim renders a [`Value`] to JSON text and
-//!   parses it back.
+//! * [`Serialize::write_json`] streams a value straight into a
+//!   [`JsonWriter`] as JSON text, with no intermediate tree. This is the
+//!   serialization path: `serde_json::to_string`/`to_string_pretty` call
+//!   it.
+//! * [`Serialize::to_value`] builds a JSON [`Value`] tree, for callers
+//!   that need one (inspecting or editing a document, the parser's
+//!   output). A tree renders through the same [`JsonWriter`], so both
+//!   paths write the same bytes.
+//! * [`Deserialize`] rebuilds a value from a [`Value`].
+//! * The companion `serde_derive` shim generates all three methods for
+//!   structs and enums (externally tagged, like real serde's default).
+//! * The companion `serde_json` shim wraps the writer in the real API and
+//!   parses JSON text back into a [`Value`].
 //!
 //! The data model intentionally mirrors `serde_json`'s defaults (structs
 //! as objects, tuples as arrays, newtypes transparent, enums externally
@@ -28,8 +35,10 @@ pub use serde_derive::{Deserialize, Serialize};
 pub mod derive;
 mod impls;
 mod value;
+mod writer;
 
 pub use value::{Number, Value};
+pub use writer::JsonWriter;
 
 use std::fmt;
 
@@ -64,10 +73,17 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Serialization into the JSON [`Value`] data model.
+/// Serialization into JSON text or the JSON [`Value`] data model.
 pub trait Serialize {
     /// Converts `self` into a [`Value`] tree.
     fn to_value(&self) -> Value;
+
+    /// Writes `self` as JSON text. Must write the same bytes as rendering
+    /// [`Serialize::to_value`] through the writer, which is what the
+    /// default does; implementations override it to skip the tree.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value(&self.to_value());
+    }
 }
 
 /// Deserialization from the JSON [`Value`] data model.

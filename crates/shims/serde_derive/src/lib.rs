@@ -1,7 +1,8 @@
 //! Offline shim for `serde_derive`: real `Serialize`/`Deserialize` derives.
 //!
-//! The derives target the shim `serde`'s `Value`-tree data model and
-//! mirror real serde's default encodings: structs as objects, newtype
+//! The derives target the shim `serde`'s data model — a JSON `Value`
+//! tree, and JSON text streamed through its `JsonWriter` — and mirror
+//! real serde's default encodings: structs as objects, newtype
 //! structs transparent, tuple structs as arrays, enums externally tagged.
 //! The input is parsed directly from the token stream (no `syn`/`quote`
 //! in an offline environment), which restricts derives to non-generic
@@ -10,7 +11,8 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derives `serde::Serialize` (shim edition: `fn to_value(&self) -> Value`).
+/// Derives `serde::Serialize` (shim edition: `fn to_value(&self) -> Value`
+/// and the streaming `fn write_json(&self, &mut JsonWriter)`).
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(item: TokenStream) -> TokenStream {
     let input = parse_input(item);
@@ -269,13 +271,69 @@ fn gen_serialize(input: &Input) -> String {
             format!("match self {{ {} }}", arms.join(", "))
         }
     };
+    let write = gen_write_json(input);
     format!(
         "#[automatically_derived]\n\
          #[allow(clippy::all)]\n\
          impl ::serde::Serialize for {name} {{\n\
              fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn write_json(&self, __w: &mut ::serde::JsonWriter) {{ {write} }}\n\
          }}\n"
     )
+}
+
+/// The body of the derived `write_json`: the same encoding as the
+/// derived `to_value`, streamed into the writer `__w`.
+fn gen_write_json(input: &Input) -> String {
+    let name = &input.name;
+    let field = |key: &str, expr: &str| format!("__w.field(\"{key}\", {expr});");
+    let item = |expr: &str| format!("::serde::Serialize::write_json({expr}, __w);");
+    let array =
+        |items: Vec<String>| format!("__w.begin_array(); {} __w.end_array();", items.concat());
+    let object = |members: String| format!("__w.begin_object(); {members} __w.end_object();");
+    match &input.kind {
+        Kind::Struct(Fields::Unit) => "__w.null();".to_string(),
+        Kind::Struct(Fields::Named(fields)) => object(
+            fields
+                .iter()
+                .map(|f| field(f, &format!("&self.{f}")))
+                .collect(),
+        ),
+        Kind::Struct(Fields::Tuple(1)) => item("&self.0"),
+        Kind::Struct(Fields::Tuple(arity)) => {
+            array((0..*arity).map(|i| item(&format!("&self.{i}"))).collect())
+        }
+        Kind::Enum(variants) => {
+            let arms: Vec<String> = variants
+                .iter()
+                .map(|(variant, fields)| match fields {
+                    Fields::Unit => format!("{name}::{variant} => __w.str(\"{variant}\"),"),
+                    Fields::Tuple(1) => format!(
+                        "{name}::{variant}(__f0) => {{ {} }}",
+                        object(field(variant, "__f0"))
+                    ),
+                    Fields::Tuple(arity) => {
+                        let binds: Vec<String> = (0..*arity).map(|i| format!("__f{i}")).collect();
+                        let items = array(binds.iter().map(|b| item(b)).collect());
+                        format!(
+                            "{name}::{variant}({}) => {{ {} }}",
+                            binds.join(", "),
+                            object(format!("__w.key(\"{variant}\"); {items}"))
+                        )
+                    }
+                    Fields::Named(fields) => {
+                        let members = object(fields.iter().map(|f| field(f, f)).collect());
+                        format!(
+                            "{name}::{variant} {{ {} }} => {{ {} }}",
+                            fields.join(", "),
+                            object(format!("__w.key(\"{variant}\"); {members}"))
+                        )
+                    }
+                })
+                .collect();
+            format!("match self {{ {} }}", arms.join(" "))
+        }
+    }
 }
 
 fn gen_deserialize(input: &Input) -> String {

@@ -1,15 +1,17 @@
-//! Offline shim for `serde_json`: JSON text over the shim serde [`Value`].
+//! Offline shim for `serde_json`: JSON text for the shim serde family.
 //!
 //! Implements the subset of the real API the workspace uses:
 //! [`to_value`], [`from_value`], [`to_string`], [`to_string_pretty`],
 //! [`from_str`], and the [`Value`]/[`Number`] types (re-exported from the
-//! shim `serde`, where the data model lives). The emitted text is
-//! deterministic: object keys keep insertion order, floats use Rust's
-//! shortest round-trippable formatting.
+//! shim `serde`, where the data model lives). [`to_string`] and
+//! [`to_string_pretty`] stream through [`Serialize::write_json`] into
+//! the shim's one [`JsonWriter`], without building a [`Value`] tree. The
+//! emitted text is deterministic: object keys keep insertion order,
+//! floats use Rust's shortest round-trippable formatting.
 
 #![forbid(unsafe_code)]
 
-pub use serde::{Error, Number, Value};
+pub use serde::{Error, JsonWriter, Number, Value};
 
 use serde::{DeserializeOwned, Serialize};
 
@@ -35,9 +37,9 @@ pub fn from_value<T: DeserializeOwned>(value: Value) -> Result<T, Error> {
 /// # Errors
 /// Infallible in the shim; the `Result` mirrors the real API.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    let mut writer = JsonWriter::compact();
+    value.write_json(&mut writer);
+    Ok(writer.into_string())
 }
 
 /// Serializes a value to pretty-printed JSON text (two-space indent).
@@ -45,9 +47,9 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// # Errors
 /// Infallible in the shim; the `Result` mirrors the real API.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    let mut writer = JsonWriter::pretty();
+    value.write_json(&mut writer);
+    Ok(writer.into_string())
 }
 
 /// Parses JSON text into any deserializable type (including [`Value`]).
@@ -70,104 +72,6 @@ pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T, Error> {
         )));
     }
     T::from_value(&value)
-}
-
-// ---------------------------------------------------------------- writer
-
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_number(out, n),
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_number(out: &mut String, n: &Number) {
-    match *n {
-        Number::UInt(v) => out.push_str(&v.to_string()),
-        Number::Int(v) => out.push_str(&v.to_string()),
-        Number::Float(v) => {
-            if v.is_finite() {
-                let text = v.to_string();
-                out.push_str(&text);
-                // serde_json always marks floats as floats.
-                if !text.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                // JSON has no NaN/Infinity; serde_json emits null.
-                out.push_str("null");
-            }
-        }
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------- parser

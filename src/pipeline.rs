@@ -164,6 +164,21 @@ impl Serialize for PipelineConfig {
         }
         Value::Object(fields)
     }
+
+    /// The same keys, order and skip rule as [`PipelineConfig::to_value`].
+    fn write_json(&self, w: &mut serde::JsonWriter) {
+        w.begin_object();
+        w.field("schedule", &self.schedule);
+        w.field("task", &self.task);
+        w.field("profile", &self.profile);
+        w.field("multitask_buffer_size", &self.multitask_buffer_size);
+        w.field("max_sim_steps", &self.max_sim_steps);
+        w.field("budget", &self.budget);
+        if self.emit_search_profile {
+            w.field("emit_search_profile", &self.emit_search_profile);
+        }
+        w.end_object();
+    }
 }
 
 /// Hand-written and *lenient*: every missing top-level field takes its
@@ -576,6 +591,21 @@ impl Serialize for ScheduleArtifact {
             }
         }
         Value::Object(fields)
+    }
+
+    /// The same keys, order and skip rule as [`ScheduleArtifact::to_value`].
+    fn write_json(&self, w: &mut serde::JsonWriter) {
+        w.begin_object();
+        w.field("spec", &self.spec);
+        w.field("system", &self.system);
+        w.field("config", &self.config);
+        w.field("schedules", &self.schedules);
+        if self.config.emit_search_profile {
+            if let Some(profile) = &self.profile {
+                w.field("search_profile", profile);
+            }
+        }
+        w.end_object();
     }
 }
 

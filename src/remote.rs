@@ -31,7 +31,7 @@
 
 use crate::{EnvEvent, PipelineConfig, QssError, Stage};
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{JsonWriter, Value};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -435,40 +435,44 @@ impl Request {
 
 // ------------------------------------------------------------- responses
 
-/// Encodes a success response (without the trailing newline). Takes the
-/// payload by value — it can be a whole artifact, and cloning it per
-/// response would be the most expensive line of the server.
+/// Encodes a success response (without the trailing newline).
 pub fn response_ok(id: Option<u64>, result: Value) -> String {
-    let id_value = match id {
-        Some(id) => Value::Number(id.into()),
-        None => Value::Null,
-    };
-    let response = Value::Object(vec![
-        ("id".into(), id_value),
-        ("ok".into(), Value::Bool(true)),
-        ("result".into(), result),
-    ]);
-    serde_json::to_string(&response).expect("response serialization is infallible")
+    response_line(id, true, |w| w.field("result", &result))
+}
+
+/// Encodes a success response around `result`, the compact JSON text of
+/// the result that a writer already produced (a server worker, say).
+/// The text is spliced in as is, so the line is byte-identical to
+/// [`response_ok`] of the parsed result. The line has room for a
+/// trailing newline.
+pub fn response_ok_json(id: Option<u64>, result: &str) -> String {
+    response_line(id, true, |w| {
+        w.reserve(result.len() + "}\n".len());
+        w.key("result");
+        w.raw(result);
+    })
 }
 
 /// Encodes an error response (without the trailing newline).
 pub fn response_error(id: Option<u64>, error: &WireError) -> String {
-    let id_value = match id {
-        Some(id) => Value::Number(id.into()),
-        None => Value::Null,
-    };
-    let response = Value::Object(vec![
-        ("id".into(), id_value),
-        ("ok".into(), Value::Bool(false)),
-        (
-            "error".into(),
-            Value::Object(vec![
-                ("kind".into(), Value::String(error.kind.name().into())),
-                ("message".into(), Value::String(error.message.clone())),
-            ]),
-        ),
-    ]);
-    serde_json::to_string(&response).expect("response serialization is infallible")
+    response_line(id, false, |w| {
+        w.key("error");
+        w.begin_object();
+        w.field("kind", error.kind.name());
+        w.field("message", &error.message);
+        w.end_object();
+    })
+}
+
+/// `{"id": ..., "ok": ..., <payload>}` as compact JSON text.
+fn response_line(id: Option<u64>, ok: bool, payload: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    w.field("id", &id);
+    w.field("ok", &ok);
+    payload(&mut w);
+    w.end_object();
+    w.into_string()
 }
 
 /// Decodes one response line into `(echoed id, result-or-error)`.

@@ -134,8 +134,10 @@ fn straight_line_write_chain_runs_the_whole_flow_on_a_1_mib_stack() {
 /// one-worker in-process daemon. A `simulate` request runs the generate
 /// stage and both executors on the worker that admitted it, whose stack
 /// has the default size. The daemon must answer with the local bytes and
-/// go on serving. (`simulate`, not `generate`: its reply is a few KiB,
-/// while a `generate` reply carries every schedule node's dense marking.)
+/// go on serving. A `generate` reply carries every schedule node's dense
+/// marking, so it grows with the square of the line (25 MB at 2 000
+/// writes); the worker streams it without a `Value` tree, and at 500
+/// writes (1.6 MB) its artifact must equal the local bytes too.
 #[test]
 fn daemon_worker_simulates_a_straight_line_write_chain() {
     let source = write_chain_source(2_000);
@@ -163,6 +165,20 @@ fn daemon_worker_simulates_a_straight_line_write_chain() {
         .to_json();
     assert_eq!(remote.artifact_json(), local);
     assert!(local.contains("\"outputs_match\":true"));
+    let source = write_chain_source(500);
+    let remote = client
+        .generate(&source, None)
+        .expect("generate the write chain");
+    let local = Pipeline::from_source(&source)
+        .expect("the chain parses")
+        .link()
+        .expect("the chain links")
+        .schedule()
+        .expect("the chain schedules")
+        .generate()
+        .expect("the chain generates")
+        .to_json();
+    assert_eq!(remote.artifact_json(), local);
     let summary = client
         .check(&divider_chain_source(1, 2))
         .expect("the daemon still serves");

@@ -296,3 +296,30 @@ fn json_values_cover_the_corner_cases() {
     let n: u64 = serde_json::from_str(&serde_json::to_string(&u64::MAX).unwrap()).unwrap();
     assert_eq!(n, u64::MAX);
 }
+
+/// The artifact bytes of `samples/pipeline.flowc`, pinned before the
+/// streaming writer replaced the `Value` tree: compact schedule and task
+/// artifacts, and the pretty task artifact `qssc build --emit json`
+/// writes (CI diffs the CLI's file against the same golden).
+#[test]
+fn pipeline_artifact_bytes_match_the_pinned_fixtures() {
+    let schedule = Pipeline::from_source(SOURCE)
+        .unwrap()
+        .link()
+        .unwrap()
+        .schedule()
+        .unwrap();
+    assert_eq!(
+        schedule.to_json(),
+        include_str!("fixtures/pipeline.schedule_artifact.json")
+    );
+    let task = schedule.generate().unwrap();
+    assert_eq!(
+        task.to_json(),
+        include_str!("fixtures/pipeline.task_artifact.json")
+    );
+    assert_eq!(
+        task.to_json_pretty(),
+        include_str!("../samples/pipeline.pipeline.golden.json")
+    );
+}
